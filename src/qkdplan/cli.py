@@ -16,6 +16,7 @@ stderr so stdout stays byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -248,7 +249,9 @@ def _cmd_plan(args) -> int:
         try:
             lp_tol = float(os.environ[LP_TOL_ENV])
         except ValueError:
-            print(f"error: {LP_TOL_ENV} must be a number", file=sys.stderr)
+            lp_tol = math.nan  # rejected below with the other invalid values
+        if not (math.isfinite(lp_tol) and lp_tol > 0):
+            print(f"error: {LP_TOL_ENV} must be a finite positive number", file=sys.stderr)
             return EXIT_INPUT_ERROR
 
     started = time.perf_counter()
@@ -283,7 +286,9 @@ def _cmd_plan(args) -> int:
         print(f"error: solver returned {solution.status.value}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    check = router.verify_solution(graph, solution.commodities, solution)
+    check = router.verify_solution(
+        graph, solution.commodities, solution, gs_relay=scenario.gs_relay
+    )
     if not check.ok:  # pragma: no cover - would be a planner bug
         for violation in check.violations:
             print(f"verification failed: {violation}", file=sys.stderr)

@@ -14,11 +14,13 @@ path decomposition of each commodity's flow, then repeatedly give one more
 key to the commodity with the lowest fulfilled demand along the residual
 path that consumes the fewest pool bits, until no commodity can grow.
 
-Every undirected link contributes two directed flow variables per
-commodity; a link's single pool caps the sum of both directions over all
-commodities, because the shared secret bits on a link are usable either
-way.  All tie-breaking is deterministic (commodity index, then
-lexicographic node ids), so identical inputs give identical plans.
+Every undirected link contributes two directed flow variables to each
+commodity that may use both of its ends (with ``gs_relay`` off, ground
+stations other than the commodity's endpoints are off limits); a link's
+single pool caps the sum of both directions over all commodities, because
+the shared secret bits on a link are usable either way.  All tie-breaking
+is deterministic (commodity index, then lexicographic node ids), so
+identical inputs give identical plans.
 """
 from __future__ import annotations
 
@@ -36,7 +38,6 @@ from .netmodel import NodeKind, QkdGraph
 __all__ = [
     "Commodity",
     "FlowSolution",
-    "FlowLayout",
     "VerificationReport",
     "gs_pairs",
     "build_lp",
@@ -136,58 +137,16 @@ def _check_commodities(graph: QkdGraph, commodities: Sequence[Commodity]) -> Non
                 )
 
 
-@dataclass(frozen=True)
-class FlowLayout:
-    """Variable indexing of the flow LP.
+def _pair_key(a: str, b: str) -> tuple[str, str]:
+    return (a, b) if a <= b else (b, a)
 
-    Max-min layout: x = (t, d_1..d_k, then per commodity and per link the
-    forward and reverse flow).  Min-resource layout drops t and the demand
-    variables.  Forward means from the link's lexicographically smaller
-    endpoint to the larger one.
-    """
 
-    kind: str
-    commodities: tuple[Commodity, ...]
-    links: tuple[tuple[str, str], ...]
-
-    @property
-    def num_commodities(self) -> int:
-        return len(self.commodities)
-
-    @property
-    def num_links(self) -> int:
-        return len(self.links)
-
-    @property
-    def flow_offset(self) -> int:
-        return 1 + self.num_commodities if self.kind == "mmd" else 0
-
-    @property
-    def num_variables(self) -> int:
-        return self.flow_offset + 2 * self.num_links * self.num_commodities
-
-    @property
-    def t_index(self) -> int:
-        if self.kind != "mmd":
-            raise ValueError("t exists only in the max-min layout")
-        return 0
-
-    def demand_index(self, commodity: int) -> int:
-        if self.kind != "mmd":
-            raise ValueError("demand variables exist only in the max-min layout")
-        return 1 + commodity
-
-    def flow_index(self, commodity: int, link_pos: int, reverse: bool) -> int:
-        return (
-            self.flow_offset
-            + commodity * 2 * self.num_links
-            + 2 * link_pos
-            + (1 if reverse else 0)
-        )
-
-    def directed_edge(self, link_pos: int, reverse: bool) -> DirectedEdge:
-        a, b = self.links[link_pos]
-        return (b, a) if reverse else (a, b)
+def _transit_allowed(graph: QkdGraph, node_id: str, endpoints: set[str], gs_relay: bool) -> bool:
+    if node_id in endpoints:
+        return True
+    if graph.node(node_id).kind != NodeKind.GROUND_STATION:
+        return True
+    return gs_relay
 
 
 def build_lp(
@@ -196,7 +155,7 @@ def build_lp(
     objective: str,
     edge_weights: Optional[dict[tuple[str, str], float]] = None,
     gs_relay: bool = True,
-) -> tuple[LinearProgram, FlowLayout]:
+) -> tuple[LinearProgram, tuple[FlowKey, ...]]:
     """Encode the flow problem as a linear program.
 
     ``objective`` is ``"mmd"`` (maximize the minimum demand; demands are
@@ -204,12 +163,18 @@ def build_lp(
     or ``"mr"`` (minimize total flow at fixed demands; unit cost per flow
     variable unless ``edge_weights`` overrides a link's relative cost).
 
+    Variables: t and d_1..d_k (max-min only), then the flow columns per
+    commodity and per link, forward (from the link's lexicographically
+    smaller endpoint) before reverse.  A commodity gets the two columns of
+    a link only when it may use both ends; with ``gs_relay=False`` that
+    excludes every link touching a ground station other than its own
+    endpoints, so ground-station transit is never created.
+
     Constraints: one capacity row per link bounding the sum of both
-    directions over all commodities by the pool, nonnegativity through the
-    variable bounds, and flow conservation at every node per commodity.
-    With ``gs_relay=False``, flow variables of foreign commodities on
-    edges incident to a ground station are pinned to zero, which removes
-    ground-station transit without touching the endpoints' own traffic.
+    directions over all commodities by the pool, and flow conservation at
+    every node per commodity; all variables are nonnegative.  Returns the
+    program and the ``(commodity, directed edge)`` key of every flow
+    column, in column order.
     """
     if objective not in ("mmd", "mr"):
         raise ValueError(f"objective must be 'mmd' or 'mr', got {objective!r}")
@@ -219,14 +184,10 @@ def build_lp(
         raise ValueError("max-min demand uses variable demands; do not fix demand_bits")
     if objective == "mr" and any(c.demand_bits is None for c in commodities):
         raise ValueError("min-resource needs a fixed demand on every commodity")
-    layout = FlowLayout(
-        kind=objective,
-        commodities=commodities,
-        links=tuple(link.endpoints for link in graph.links),
-    )
-    k, m, n = layout.num_commodities, layout.num_links, layout.num_variables
+    k = len(commodities)
     if k == 0:
-        return LinearProgram(objective=np.zeros(0)), layout
+        return LinearProgram(objective=np.zeros(0)), ()
+    link_row = {link.endpoints: j for j, link in enumerate(graph.links)}
 
     weights = {}
     if edge_weights:
@@ -234,78 +195,61 @@ def build_lp(
             a, b = sorted(pair)
             if weight < 0:
                 raise ValueError(f"edge weight for {a}-{b} must be >= 0, got {weight}")
-            if (a, b) not in layout.links:
+            if (a, b) not in link_row:
                 raise KeyError(f"edge weight given for unknown link {a}-{b}")
             weights[(a, b)] = float(weight)
 
-    cost = np.zeros(n)
-    if objective == "mmd":
-        cost[layout.t_index] = -1.0
-    else:
-        for i in range(k):
-            for j, pair in enumerate(layout.links):
-                w = weights.get(pair, 1.0)
-                cost[layout.flow_index(i, j, False)] = w
-                cost[layout.flow_index(i, j, True)] = w
-
-    num_ub = m + (k if objective == "mmd" else 0)
-    a_ub = np.zeros((num_ub, n))
-    b_ub = np.zeros(num_ub)
-    for j, link in enumerate(graph.links):
-        for i in range(k):
-            a_ub[j, layout.flow_index(i, j, False)] = 1.0
-            a_ub[j, layout.flow_index(i, j, True)] = 1.0
-        b_ub[j] = link.pool_bits
-    if objective == "mmd":
-        for i in range(k):
-            row = m + i
-            a_ub[row, layout.t_index] = 1.0
-            a_ub[row, layout.demand_index(i)] = -1.0
-
-    node_order = {node.id: pos for pos, node in enumerate(graph.nodes)}
-    a_eq = np.zeros((k * len(graph.nodes), n))
-    b_eq = np.zeros(k * len(graph.nodes))
+    columns: list[FlowKey] = []
     for i, commodity in enumerate(commodities):
-        for j, (a, b) in enumerate(layout.links):
-            forward = layout.flow_index(i, j, False)
-            reverse = layout.flow_index(i, j, True)
-            row_a = i * len(graph.nodes) + node_order[a]
-            row_b = i * len(graph.nodes) + node_order[b]
-            a_eq[row_a, forward] += 1.0  # flow out of a
-            a_eq[row_a, reverse] -= 1.0  # flow into a
-            a_eq[row_b, forward] -= 1.0
-            a_eq[row_b, reverse] += 1.0
-        source_row = i * len(graph.nodes) + node_order[commodity.source]
-        sink_row = i * len(graph.nodes) + node_order[commodity.sink]
+        endpoints = set(commodity.pair)
+        for a, b in link_row:
+            if all(_transit_allowed(graph, v, endpoints, gs_relay) for v in (a, b)):
+                columns += [(i, (a, b)), (i, (b, a))]
+    offset = 1 + k if objective == "mmd" else 0
+    n = offset + len(columns)
+
+    num_nodes = len(graph.nodes)
+    node_order = {node.id: pos for pos, node in enumerate(graph.nodes)}
+    cost = np.zeros(n)
+    a_ub = np.zeros((len(link_row) + (k if objective == "mmd" else 0), n))
+    b_ub = np.zeros(a_ub.shape[0])
+    a_eq = np.zeros((k * num_nodes, n))
+    b_eq = np.zeros(k * num_nodes)
+    for col, (i, (u, v)) in enumerate(columns, start=offset):
+        pair = _pair_key(u, v)
+        if objective == "mr":
+            cost[col] = weights.get(pair, 1.0)
+        a_ub[link_row[pair], col] = 1.0
+        a_eq[i * num_nodes + node_order[u], col] += 1.0  # flow out of u
+        a_eq[i * num_nodes + node_order[v], col] -= 1.0  # flow into v
+    b_ub[: len(link_row)] = [link.pool_bits for link in graph.links]
+    for i, commodity in enumerate(commodities):
+        source_row = i * num_nodes + node_order[commodity.source]
+        sink_row = i * num_nodes + node_order[commodity.sink]
         if objective == "mmd":
-            a_eq[source_row, layout.demand_index(i)] = -1.0
-            a_eq[sink_row, layout.demand_index(i)] = 1.0
+            a_ub[len(link_row) + i, 0] = 1.0  # t - d_i <= 0
+            a_ub[len(link_row) + i, 1 + i] = -1.0
+            a_eq[source_row, 1 + i] = -1.0
+            a_eq[sink_row, 1 + i] = 1.0
         else:
             b_eq[source_row] = float(commodity.demand_bits)
             b_eq[sink_row] = -float(commodity.demand_bits)
+    if objective == "mmd":
+        cost[0] = -1.0
 
-    bounds: list[tuple[float, Optional[float]]] = [(0.0, None)] * n
-    if not gs_relay:
-        station = {node.id for node in graph.nodes if node.kind == NodeKind.GROUND_STATION}
-        for i, commodity in enumerate(commodities):
-            endpoints = set(commodity.pair)
-            for j, pair in enumerate(layout.links):
-                touched = station.intersection(pair) - endpoints
-                if touched:
-                    bounds[layout.flow_index(i, j, False)] = (0.0, 0.0)
-                    bounds[layout.flow_index(i, j, True)] = (0.0, 0.0)
-
-    lp = LinearProgram(
-        objective=cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds
-    )
-    return lp, layout
+    lp = LinearProgram(objective=cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    return lp, tuple(columns)
 
 
-def _decode(layout: FlowLayout, solution: LpSolution) -> FlowSolution:
-    commodities = layout.commodities
+def _decode(
+    objective: str,
+    commodities: tuple[Commodity, ...],
+    columns: tuple[FlowKey, ...],
+    solution: LpSolution,
+) -> FlowSolution:
     if solution.status is not LpStatus.OPTIMAL:
         return FlowSolution(
-            kind=layout.kind,
+            kind=objective,
             status=solution.status,
             commodities=commodities,
             flows={},
@@ -313,26 +257,21 @@ def _decode(layout: FlowLayout, solution: LpSolution) -> FlowSolution:
             objective=None,
         )
     x = solution.x
-    flows: dict[FlowKey, float] = {}
-    for i in range(len(commodities)):
-        for j in range(layout.num_links):
-            for reverse in (False, True):
-                value = float(x[layout.flow_index(i, j, reverse)])
-                if value > _FLOW_EPS:
-                    flows[(i, layout.directed_edge(j, reverse))] = value
-    if layout.kind == "mmd":
-        demands = tuple(float(x[layout.demand_index(i)]) for i in range(len(commodities)))
-        objective = min(demands) if demands else 0.0
+    flow_values = x[x.size - len(columns):]  # the flow columns come last
+    flows = {key: float(v) for key, v in zip(columns, flow_values) if v > _FLOW_EPS}
+    if objective == "mmd":
+        demands = tuple(float(x[1 + i]) for i in range(len(commodities)))
+        value = min(demands) if demands else 0.0
     else:
         demands = tuple(float(c.demand_bits) for c in commodities)
-        objective = float(solution.objective_value)
+        value = float(solution.objective_value)
     return FlowSolution(
-        kind=layout.kind,
+        kind=objective,
         status=LpStatus.OPTIMAL,
         commodities=commodities,
         flows=flows,
         demands=demands,
-        objective=objective,
+        objective=value,
     )
 
 
@@ -345,20 +284,13 @@ def solve_fractional(
     lp_tol: Optional[float] = None,
 ) -> FlowSolution:
     """Solve the flow LP and decode it, without the integral rounding stage."""
-    lp, layout = build_lp(graph, commodities, objective, edge_weights, gs_relay)
+    commodities = tuple(commodities)
+    lp, columns = build_lp(graph, commodities, objective, edge_weights, gs_relay)
     lp_solution = solve(lp, tol=lp_tol) if lp_tol is not None else solve(lp)
-    return _decode(layout, lp_solution)
+    return _decode(objective, commodities, columns, lp_solution)
 
 
 # --- residual-graph path search -------------------------------------------
-
-def _transit_allowed(graph: QkdGraph, node_id: str, endpoints: set[str], gs_relay: bool) -> bool:
-    if node_id in endpoints:
-        return True
-    if graph.node(node_id).kind != NodeKind.GROUND_STATION:
-        return True
-    return gs_relay
-
 
 def _shortest_residual_path(
     graph: QkdGraph,
@@ -410,10 +342,6 @@ def _shortest_residual_path(
         path.append(step)
         current = step
     return path
-
-
-def _pair_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 # --- greedy rounding --------------------------------------------------------
@@ -651,11 +579,16 @@ def verify_solution(
     commodities: Sequence[Commodity],
     solution: FlowSolution,
     tol: float = 1e-6,
+    *,
+    gs_relay: bool = True,
 ) -> VerificationReport:
-    """Independently re-check capacity, nonnegativity and conservation.
+    """Independently re-check capacity, nonnegativity, conservation and limits.
 
     Walks the raw flow map without reusing any LP machinery and reports
-    every violating link or (node, commodity) entry.
+    every violating link or (node, commodity) entry.  With
+    ``gs_relay=False`` any positive flow touching a ground station other
+    than the commodity's endpoints is a violation; a commodity with
+    ``demand_bits`` set may not be delivered more than that.
     """
     commodities = tuple(commodities)
     violations: list[str] = []
@@ -672,6 +605,14 @@ def verify_solution(
         if value < -tol:
             violations.append(f"negative flow {value} on {a}->{b} (commodity {i})")
         used[pair] += value
+        commodity = commodities[i]
+        if not gs_relay and value > tol:
+            for end in (a, b):
+                if end not in commodity.pair and graph.node(end).kind == NodeKind.GROUND_STATION:
+                    violations.append(
+                        f"commodity {i} ({commodity.source}->{commodity.sink}) "
+                        f"transits ground station {end}"
+                    )
 
     for link in graph.links:
         total = used[link.endpoints]
@@ -701,6 +642,12 @@ def verify_solution(
                     f"({commodity.source}->{commodity.sink}): net {net[node.id]}, "
                     f"expected {expected}"
                 )
+        requested = commodity.demand_bits
+        if requested is not None and demand > requested + tol * max(1.0, requested):
+            violations.append(
+                f"commodity {i} ({commodity.source}->{commodity.sink}) delivers "
+                f"{demand:g} > requested {requested}"
+            )
 
     return VerificationReport(ok=not violations, violations=tuple(violations))
 

@@ -119,6 +119,58 @@ def test_key_rate_magnitudes():
     )
 
 
+def check_oracles(graph, pairs, overdemand: bool, gs_relay: bool) -> None:
+    """One instance of the LP oracle gate under one ``gs_relay`` setting."""
+    commodities = [Commodity(a, b) for a, b in pairs]
+    k = len(commodities)
+
+    lp, _ = build_lp(graph, commodities, "mmd", gs_relay=gs_relay)
+    mine = solve(lp)
+    ref_status, ref_value = scipy_solve(lp)
+    assert mine.status is ref_status
+    if mine.status is LpStatus.OPTIMAL:
+        assert abs(mine.objective_value - ref_value) <= 1e-6
+    fractional = solve_fractional(graph, commodities, "mmd", gs_relay=gs_relay)
+    rounded = greedy_round(graph, fractional, gs_relay=gs_relay)
+    assert verify_solution(graph, commodities, rounded, gs_relay=gs_relay).ok
+    assert rounded.integral
+    t_upper = int(fractional.objective + 1e-9)
+    t_integral = mmd_integral_optimum(graph, commodities, upper=t_upper, gs_relay=gs_relay)
+    assert rounded.min_demand <= t_integral + 1e-9
+    assert t_integral - rounded.min_demand <= k
+
+    requests = [
+        (c.source, c.sink, min(int(d), 8))
+        for c, d in zip(rounded.commodities, rounded.demands)
+    ]
+    mr_commodities = [Commodity(s, t, demand_bits=d) for s, t, d in requests]
+    mr_lp, _ = build_lp(graph, mr_commodities, "mr", gs_relay=gs_relay)
+    mr_mine = solve(mr_lp)
+    mr_ref_status, mr_ref_value = scipy_solve(mr_lp)
+    assert mr_mine.status is mr_ref_status is LpStatus.OPTIMAL
+    assert abs(mr_mine.objective_value - mr_ref_value) <= 1e-6
+    mr_rounded = route_mr(graph, requests, gs_relay=gs_relay)
+    assert mr_rounded.status is LpStatus.OPTIMAL
+    assert verify_solution(graph, mr_commodities, mr_rounded, gs_relay=gs_relay).ok
+    assert mr_rounded.demands == tuple(float(d) for _, _, d in requests)
+    best = mr_integral_optimum(graph, requests, gs_relay=gs_relay)
+    assert best is not None
+    assert best <= mr_rounded.total_flow <= best + k
+
+    # over-demand beyond the strongest cut must be infeasible both ways
+    if overdemand:
+        total = sum(link.pool_bits for link in graph.links)
+        src, dst, _ = requests[0]
+        bad = [(src, dst, total + 1)] + requests[1:]
+        bad_lp, _ = build_lp(
+            graph,
+            [Commodity(s, t, demand_bits=d) for s, t, d in bad],
+            "mr",
+            gs_relay=gs_relay,
+        )
+        assert solve(bad_lp).status is scipy_solve(bad_lp)[0] is LpStatus.INFEASIBLE
+
+
 @pytest.mark.slow
 def test_lp_oracle_equivalence():
     """Fractional optima match an independent solver; rounding stays near
@@ -128,56 +180,14 @@ def test_lp_oracle_equivalence():
     checked = 0
     while checked < 200:
         graph, pairs = random_instance(rng, max_paths=6)
-        commodities = [Commodity(a, b) for a, b in pairs]
-        k = len(commodities)
-
-        lp, layout = build_lp(graph, commodities, "mmd")
-        mine = solve(lp)
-        ref_status, ref_value = scipy_solve(lp)
-        assert mine.status is ref_status
-        if mine.status is LpStatus.OPTIMAL:
-            assert abs(mine.objective_value - ref_value) <= 1e-6
-        fractional = solve_fractional(graph, commodities, "mmd")
-        rounded = greedy_round(graph, fractional)
-        assert verify_solution(graph, commodities, rounded).ok
-        assert rounded.integral
-        t_upper = int(fractional.objective + 1e-9)
-        t_integral = mmd_integral_optimum(graph, commodities, upper=t_upper)
-        assert rounded.min_demand <= t_integral + 1e-9
-        assert t_integral - rounded.min_demand <= k
-
-        requests = [
-            (c.source, c.sink, min(int(d), 8))
-            for c, d in zip(rounded.commodities, rounded.demands)
-        ]
-        mr_commodities = [Commodity(s, t, demand_bits=d) for s, t, d in requests]
-        mr_lp, _ = build_lp(graph, mr_commodities, "mr")
-        mr_mine = solve(mr_lp)
-        mr_ref_status, mr_ref_value = scipy_solve(mr_lp)
-        assert mr_mine.status is mr_ref_status is LpStatus.OPTIMAL
-        assert abs(mr_mine.objective_value - mr_ref_value) <= 1e-6
-        mr_rounded = route_mr(graph, requests)
-        assert mr_rounded.status is LpStatus.OPTIMAL
-        assert verify_solution(graph, mr_commodities, mr_rounded).ok
-        assert mr_rounded.demands == tuple(float(d) for _, _, d in requests)
-        best = mr_integral_optimum(graph, requests)
-        assert best is not None
-        assert best <= mr_rounded.total_flow <= best + k
-
-        # over-demand beyond the strongest cut must be infeasible both ways
-        if requests and rng.random() < 0.3:
-            total = sum(link.pool_bits for link in graph.links)
-            src, dst, _ = requests[0]
-            bad = [(src, dst, total + 1)] + requests[1:]
-            bad_lp, _ = build_lp(
-                graph, [Commodity(s, t, demand_bits=d) for s, t, d in bad], "mr"
-            )
-            assert solve(bad_lp).status is scipy_solve(bad_lp)[0] is LpStatus.INFEASIBLE
+        overdemand = bool(pairs) and rng.random() < 0.3
+        for gs_relay in (True, False):
+            check_oracles(graph, pairs, overdemand, gs_relay)
         checked += 1
     elapsed = time.perf_counter() - started
     report(
         f"LP oracle equivalence on {checked} randomized instances "
-        f"in {elapsed:.1f} s",
+        f"(gs_relay on and off) in {elapsed:.1f} s",
         elapsed < 60.0,
     )
 

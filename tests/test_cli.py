@@ -1,4 +1,5 @@
 """Command-line interface: outputs, exit codes, determinism."""
+import hashlib
 import json
 import re
 
@@ -121,8 +122,14 @@ class TestPlanCommand:
     def test_lp_tolerance_env(self, capsys, monkeypatch):
         monkeypatch.setenv("QKDPLAN_LP_TOL", "1e-7")
         assert main(["plan", "micro-shared", "--objective", "mmd"]) == EXIT_OK
-        monkeypatch.setenv("QKDPLAN_LP_TOL", "not-a-number")
-        assert main(["plan", "micro-shared", "--objective", "mmd"]) == EXIT_INPUT_ERROR
+        capsys.readouterr()
+        for bad in ("not-a-number", "nan", "inf", "-1", "0"):
+            monkeypatch.setenv("QKDPLAN_LP_TOL", bad)
+            assert main(["plan", "micro-shared", "--objective", "mmd"]) == EXIT_INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: QKDPLAN_LP_TOL")
+            assert captured.err.count("\n") == 1, bad
 
     def test_timing_goes_to_stderr(self, capsys):
         assert main(["plan", "micro-line", "--objective", "mmd"]) == EXIT_OK
@@ -172,3 +179,62 @@ class TestMicroScenarios:
         assert main(["plan", "micro-diamond", "--objective", "mmd"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "| a->b | 6 |" in out
+
+
+# (exit code, SHA-256 of stdout) of every bundled scenario, objective and
+# format.  A change here means the reports changed, which is a contract break.
+STDOUT_DIGESTS = {
+    ("empty-pairs", "mmd", "md"): (0, "3d7f249169aa89b7cbff5e6e849a8023b976eed38619848375812990a075c74d"),
+    ("empty-pairs", "mmd", "csv"): (0, "5a2e97b5e63a6baab23ca18a796884fe3f18c0023bbec543764b0e02e76e995c"),
+    ("empty-pairs", "mr", "md"): (0, "7a117b9bb1d01ff8bf6c9d2b0e412cbf8d7d67dcb8dcc2d6865e74f2e6274ff0"),
+    ("empty-pairs", "mr", "csv"): (0, "8e68e8c4431f3260607fd0ee00e325b06c8c52534bcc96640c68bec9d39c39aa"),
+    ("empty-pairs", "dijkstra", "md"): (0, "880818506f741a9ad6893c03b41dbe68c0633ff74b27a8a91b35a16a35f8dc2a"),
+    ("empty-pairs", "dijkstra", "csv"): (0, "f44453f8802db9b0462f0731d44dc45a5c01bdac8fb35833bfdcf62d969d58ab"),
+    ("fig3like", "mmd", "md"): (0, "49a1bb5ae0d9cc68ca252e4dada2b65098fc10503f4ccd272397098bf4cb56a0"),
+    ("fig3like", "mmd", "csv"): (0, "de9e5dcf561edffa9737cba26355b5f1cd819b38cd0e90f78d0e6ac8d179eb66"),
+    ("fig3like", "mr", "md"): (0, "a6d211026c8a9ff13af027068888fb063aeae9401f87c675a4b4b2d65646abda"),
+    ("fig3like", "mr", "csv"): (0, "1b92d0aef86398be00e008290044d8fe7a7663758c35670b0241567097c85cf8"),
+    ("fig3like", "dijkstra", "md"): (0, "1c3217230d18434797db375402379af1311e5c9a8556a846789af44983e88444"),
+    ("fig3like", "dijkstra", "csv"): (0, "e8eaf10adb6add71f7387fdd3113fbb003fd9154fdb09bba494a717d7c328688"),
+    ("micro-diamond", "mmd", "md"): (0, "eee9071d80e967eb72eec78dc3115df3c13b9cc4c666e1976ee694700bafaa08"),
+    ("micro-diamond", "mmd", "csv"): (0, "f74aa984fca89d87e795f0648c751bc920a531090111c5167ea5cd5fb65eec56"),
+    ("micro-diamond", "mr", "md"): (0, "90e02601e4c185ea223222dbab4e15093bb4c39f2af160a4e60a348d2b3b0be8"),
+    ("micro-diamond", "mr", "csv"): (0, "c8919a18e89a423bcafbddf43d08b3265ecf7a484b33533754c86b5865afc8db"),
+    ("micro-diamond", "dijkstra", "md"): (0, "696e2b8bcf043d4cd722336b3ed08f4571dcd590195b26dd004e68733a8cb2be"),
+    ("micro-diamond", "dijkstra", "csv"): (0, "f14378399f8fd9f9249e16dc8154f590317b7bec95046a183b67adcf6bed83db"),
+    ("micro-line", "mmd", "md"): (0, "3e86a32c36614b6fd43f1f43cb42cbe72772ad0c305495b886f01098dd969c5a"),
+    ("micro-line", "mmd", "csv"): (0, "f85497827ecd3af2d2f2f037b884b59c8411c39ce66bef4d24d0b23176551497"),
+    ("micro-line", "mr", "md"): (0, "992d8d4e8ccc33a287c8f75b1eac447c60140facec428c85368d0bed0464a1d3"),
+    ("micro-line", "mr", "csv"): (0, "4a23140087082da012a5d1e6448b740df7f97dfe89e93f0b51fd83de8800db2d"),
+    ("micro-line", "dijkstra", "md"): (0, "a54c7390b4196c55f9f134ce3d6ea3048821e2f388744e738769e38e2c337177"),
+    ("micro-line", "dijkstra", "csv"): (0, "468688cadf456d3713c3e08a8051d6050921b59dda8cd709c3ebd4d5b3ba1883"),
+    ("micro-shared", "mmd", "md"): (0, "334690ac2230ea0aad4f4bedbcd615a68f079a639dfdd4e38cfb8672b47111f8"),
+    ("micro-shared", "mmd", "csv"): (0, "58f260269900ad0ad986557d87629942ef0004475a631e50fddf07c02ce6d424"),
+    ("micro-shared", "mr", "md"): (0, "6aa3de204d986c54055c628563e176169c99a15118947e39c8976e185ea28f23"),
+    ("micro-shared", "mr", "csv"): (0, "45a2c271543bffa2072a0026c1107fc4425762320acebebe37574f7e37df9d09"),
+    ("micro-shared", "dijkstra", "md"): (0, "4524692f44db3fceac50420835ea1958fd2a94340e668b12d50e42b128f45582"),
+    ("micro-shared", "dijkstra", "csv"): (0, "6a01fbbfbfd3c5c08d67db48cc058089dc4e3041c1e0334210fdcf49a8846f4b"),
+    ("order-demo", "mmd", "md"): (0, "9a36db27eeb248e6ac0578b956d4bde91c03533d049ad8411f4dbb8744a34ed5"),
+    ("order-demo", "mmd", "csv"): (0, "d1b8cbac27469ef3bba0be8c117aeb7a0f8707c4476b83f6c54ccc6e369e16ed"),
+    ("order-demo", "mr", "md"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("order-demo", "mr", "csv"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("order-demo", "dijkstra", "md"): (0, "4fb94718d29c0c50a6caee61642e20845112e801723cdc6443acfbab9b410a77"),
+    ("order-demo", "dijkstra", "csv"): (0, "a1e053388e3443d75e28d4ae659361d121a191109894b4f9a3f606f0dbf8e1ab"),
+    ("overdemand", "mmd", "md"): (0, "5cbc87c09109c205843424515ece84ee83f5c265c15dcba6c21b456d12642f9e"),
+    ("overdemand", "mmd", "csv"): (0, "f85497827ecd3af2d2f2f037b884b59c8411c39ce66bef4d24d0b23176551497"),
+    ("overdemand", "mr", "md"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("overdemand", "mr", "csv"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("overdemand", "dijkstra", "md"): (0, "9a2e7c1782fa39eece8052779d0525804ecb2a3ae1490ca550e9c8989e256c96"),
+    ("overdemand", "dijkstra", "csv"): (0, "468688cadf456d3713c3e08a8051d6050921b59dda8cd709c3ebd4d5b3ba1883"),
+}
+
+
+class TestOutputContract:
+    def test_every_bundled_scenario_is_pinned(self):
+        assert {name for name, _, _ in STDOUT_DIGESTS} == set(bundled_scenarios())
+
+    @pytest.mark.parametrize("scenario, objective, fmt", list(STDOUT_DIGESTS))
+    def test_stdout_digest(self, capsys, scenario, objective, fmt):
+        code = main(["plan", scenario, "--objective", objective, "--format", fmt])
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (code, digest) == STDOUT_DIGESTS[(scenario, objective, fmt)]

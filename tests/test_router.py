@@ -57,6 +57,15 @@ def diamond_pools(pool=3):
     )
 
 
+@pytest.fixture()
+def relay_graph():
+    # the only route from a to b passes through ground station c
+    return build_graph(
+        {"a": "gs", "b": "gs", "c": "gs", "s1": "leo", "s2": "leo"},
+        [("a", "s1", 10), ("s1", "c", 10), ("c", "s2", 10), ("s2", "b", 10)],
+    )
+
+
 class TestBuildLp:
     def test_single_commodity_path_graph(self):
         graph = line_pools(10, 6)
@@ -92,13 +101,34 @@ class TestBuildLp:
         with pytest.raises(ValueError):
             build_lp(line_pools(), [Commodity("g1", "g2")], "mr")
 
-    def test_variable_layout_shape(self):
+    def test_variable_layout_shape(self, relay_graph):
         graph = line_pools()
-        lp, layout = build_lp(graph, [Commodity("g1", "g2")], "mmd")
+        lp, columns = build_lp(graph, [Commodity("g1", "g2")], "mmd")
         # t + one demand + 2 flow directions on each of 2 links
-        assert lp.num_variables == 1 + 1 + 4 == layout.num_variables
-        lp_mr, _ = build_lp(graph, [Commodity("g1", "g2", demand_bits=3)], "mr")
-        assert lp_mr.num_variables == 4
+        assert lp.num_variables == 1 + 1 + 4 == 2 + len(columns)
+        assert columns == (
+            (0, ("g1", "s1")),
+            (0, ("s1", "g1")),
+            (0, ("g2", "s1")),
+            (0, ("s1", "g2")),
+        )
+        lp_mr, columns_mr = build_lp(graph, [Commodity("g1", "g2", demand_bits=3)], "mr")
+        assert lp_mr.num_variables == 4 == len(columns_mr)
+        assert lp.bounds is None and lp_mr.bounds is None
+
+        commodities = [Commodity("a", "b"), Commodity("a", "c")]
+        lp_ban, columns = build_lp(relay_graph, commodities, "mmd", gs_relay=False)
+        assert lp_ban.bounds is None
+        assert lp_ban.num_variables == 1 + 2 + len(columns)
+        # with the transit ban, a->b gets no column touching c, a->c none touching b
+        assert [edge for i, edge in columns if i == 0] == [
+            ("a", "s1"), ("s1", "a"), ("b", "s2"), ("s2", "b"),
+        ]
+        assert [edge for i, edge in columns if i == 1] == [
+            ("a", "s1"), ("s1", "a"), ("c", "s1"), ("s1", "c"), ("c", "s2"), ("s2", "c"),
+        ]
+        _, relayed = build_lp(relay_graph, commodities, "mmd", gs_relay=True)
+        assert len(relayed) == 2 * 2 * 4
 
 
 class TestGreedyRound:
@@ -282,14 +312,6 @@ class TestSequentialDijkstra:
 
 
 class TestGsRelayFlag:
-    @pytest.fixture()
-    def relay_graph(self):
-        # the only route from a to b passes through ground station c
-        return build_graph(
-            {"a": "gs", "b": "gs", "c": "gs", "s1": "leo", "s2": "leo"},
-            [("a", "s1", 10), ("s1", "c", 10), ("c", "s2", 10), ("s2", "b", 10)],
-        )
-
     def test_lp_honors_gs_transit_ban(self, relay_graph):
         with_relay = route_mmd(relay_graph, [("a", "b")], gs_relay=True)
         assert with_relay.min_demand == 10.0
@@ -308,6 +330,49 @@ class TestGsRelayFlag:
 
 
 class TestVerifySolution:
+    def test_foreign_station_detour_detected(self):
+        # conservation and capacity hold, but a->b passes through station c
+        graph = build_graph(
+            {"a": "gs", "b": "gs", "c": "gs", "s1": "leo"},
+            [("a", "s1", 10), ("s1", "b", 10), ("c", "s1", 10)],
+        )
+        commodities = (Commodity("a", "b"),)
+        detour = FlowSolution(
+            kind="mmd",
+            status=LpStatus.OPTIMAL,
+            commodities=commodities,
+            flows={
+                (0, ("a", "s1")): 5,
+                (0, ("s1", "b")): 5,
+                (0, ("s1", "c")): 1,
+                (0, ("c", "s1")): 1,
+            },
+            demands=(5.0,),
+            objective=5.0,
+        )
+        assert verify_solution(graph, commodities, detour).ok
+        report = verify_solution(graph, commodities, detour, gs_relay=False)
+        assert not report.ok
+        assert any("transits ground station c" in v for v in report.violations)
+        assert not any("station a" in v or "station b" in v for v in report.violations)
+
+    def test_delivery_above_request_detected(self):
+        graph = line_pools(10, 6)
+        commodities = (Commodity("g1", "g2", demand_bits=3),)
+        bogus = FlowSolution(
+            kind="mr",
+            status=LpStatus.OPTIMAL,
+            commodities=commodities,
+            flows={(0, ("g1", "s1")): 4, (0, ("s1", "g2")): 4},
+            demands=(4.0,),
+            objective=8.0,
+        )
+        report = verify_solution(graph, commodities, bogus)
+        assert not report.ok
+        assert any("delivers 4 > requested 3" in v for v in report.violations)
+        exact = route_mr(graph, [("g1", "g2", 3)])
+        assert verify_solution(graph, commodities, exact).ok
+
     def test_tampered_conservation_detected(self, fig3like):
         solution = route_mmd(fig3like, [("A", "B")])
         flows = dict(solution.flows)
