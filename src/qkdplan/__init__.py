@@ -18,7 +18,6 @@ from .decoy import (
     forward_key_rate,
     forward_observables,
     gain_and_qber,
-    gain_and_qber_series,
     poisson_pn,
     secret_key_rate,
     single_photon_bounds,
@@ -42,19 +41,15 @@ from .linkbudget import (
 )
 from .lp import LinearProgram, LpSolution, LpStatus, solve
 from .netmodel import (
-    InsufficientKeysError,
     Link,
     Node,
     NodeKind,
     QkdGraph,
-    RelayTrace,
     Request,
     Scenario,
     ScenarioError,
     accumulate_pools,
-    consume,
     load_scenario,
-    relay_chain_demo,
 )
 from .router import (
     Commodity,

@@ -9,15 +9,15 @@ Two subcommands:
   pools over the declared window, runs the selected planner, verifies the
   solution independently, and emits a markdown or CSV report.
 
-Exit codes: 0 success, 1 input error, 2 infeasible request set,
-3 model-domain error (e.g. a near-field distance).  Timing goes to
-stderr so stdout stays byte-identical for identical inputs.
+Exit codes: 0 success, 1 input error (including a report that cannot be
+written), 2 infeasible request set, 3 model-domain error (e.g. a
+near-field distance), 4 solver failure (the simplex hit its iteration
+limit or returned an infeasible point).  Timing goes to stderr so stdout
+stays byte-identical for identical inputs.
 """
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -35,8 +35,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_MODEL_DOMAIN = 3
-
-LP_TOL_ENV = "QKDPLAN_LP_TOL"
+EXIT_SOLVER_FAILURE = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,7 +180,7 @@ def _mmd_pairs(scenario: netmodel.Scenario) -> tuple[tuple[str, str], ...]:
         return router.gs_pairs(scenario.graph)
     seen = []
     for req in scenario.requests:
-        pair = tuple(sorted((req.src, req.dst)))
+        pair = netmodel.canonical_pair(req.src, req.dst)
         if pair not in seen:
             seen.append(pair)
     return tuple(seen)
@@ -207,8 +206,7 @@ def build_markdown(report: RunReport) -> str:
         link.endpoints: 0.0 for link in report.graph.links
     }
     for (_, (a, b)), value in solution.flows.items():
-        pair = (a, b) if a <= b else (b, a)
-        consumed_by_link[pair] += value
+        consumed_by_link[netmodel.canonical_pair(a, b)] += value
     for link in report.graph.links:
         used = consumed_by_link[link.endpoints]
         lines.append(
@@ -244,16 +242,6 @@ def build_markdown(report: RunReport) -> str:
 
 
 def _cmd_plan(args) -> int:
-    lp_tol = None
-    if os.environ.get(LP_TOL_ENV):
-        try:
-            lp_tol = float(os.environ[LP_TOL_ENV])
-        except ValueError:
-            lp_tol = math.nan  # rejected below with the other invalid values
-        if not (math.isfinite(lp_tol) and lp_tol > 0):
-            print(f"error: {LP_TOL_ENV} must be a finite positive number", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-
     started = time.perf_counter()
     try:
         scenario = _resolve_scenario(args.scenario)
@@ -263,18 +251,18 @@ def _cmd_plan(args) -> int:
 
     graph = netmodel.accumulate_pools(scenario.graph, scenario.window_seconds)
     requests = [(r.src, r.dst, r.demand_bits) for r in scenario.requests]
-    if args.objective == "mmd":
-        solution = router.route_mmd(
-            graph, _mmd_pairs(scenario), gs_relay=scenario.gs_relay, lp_tol=lp_tol
-        )
-    elif args.objective == "mr":
-        solution = router.route_mr(
-            graph, requests, gs_relay=scenario.gs_relay, lp_tol=lp_tol
-        )
-    else:
-        solution = router.route_sequential_dijkstra(
-            graph, requests, gs_relay=scenario.gs_relay
-        )
+    try:
+        if args.objective == "mmd":
+            solution = router.route_mmd(graph, _mmd_pairs(scenario), gs_relay=scenario.gs_relay)
+        elif args.objective == "mr":
+            solution = router.route_mr(graph, requests, gs_relay=scenario.gs_relay)
+        else:
+            solution = router.route_sequential_dijkstra(
+                graph, requests, gs_relay=scenario.gs_relay
+            )
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"error: solver failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
 
     if solution.status is LpStatus.INFEASIBLE:
         print(
@@ -305,7 +293,11 @@ def _cmd_plan(args) -> int:
     )
     text = build_markdown(report) if args.format == "md" else router.solution_to_csv(solution)
     if args.out is not None:
-        args.out.write_text(text)
+        try:
+            args.out.write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     else:
         sys.stdout.write(text)
     print(f"wall-clock: {report.wall_seconds:.3f} s", file=sys.stderr)

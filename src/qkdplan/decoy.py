@@ -28,16 +28,11 @@ __all__ = [
     "yield_n",
     "error_rate_n",
     "gain_and_qber",
-    "gain_and_qber_series",
     "single_photon_bounds",
     "secret_key_rate",
     "forward_observables",
     "forward_key_rate",
 ]
-
-# Photon numbers beyond this contribute < 1e-40 for intensities <= 2.
-SERIES_TERMS = 50
-
 
 class DegenerateChannelError(ValueError):
     """QBER is undefined because the gain (or yield) is exactly zero."""
@@ -138,12 +133,11 @@ def _photon_arrival(n: int, delta: float) -> float:
     return -math.expm1(n * math.log1p(-delta))
 
 
-def yield_n(n: int, delta: float, y0: float, *, approximate: bool = False) -> float:
+def yield_n(n: int, delta: float, y0: float) -> float:
     """Probability of a conclusive detection for an n-photon pulse.
 
     Uses the exact inclusion-exclusion form Yn = Y0 + dn - Y0*dn, which
-    stays within [0, 1] for all inputs.  ``approximate=True`` selects the
-    common small-Y0 approximation Yn = Y0 + dn instead (may exceed 1).
+    stays within [0, 1] for all inputs.
     """
     if n < 0 or n != int(n):
         raise ValueError(f"photon number must be a nonnegative integer, got {n}")
@@ -152,8 +146,6 @@ def yield_n(n: int, delta: float, y0: float, *, approximate: bool = False) -> fl
     if not 0.0 <= y0 <= 1.0:
         raise ValueError(f"background yield must be in [0, 1], got {y0}")
     dn = _photon_arrival(int(n), delta)
-    if approximate:
-        return y0 + dn
     return min(y0 + dn - y0 * dn, 1.0)  # clamp a possible 1-ulp overshoot
 
 
@@ -191,34 +183,6 @@ def gain_and_qber(
             "gain is zero (vacuum input and no background); QBER undefined"
         )
     return gain, params.e0 * y0 / gain
-
-
-def gain_and_qber_series(
-    intensity: float,
-    delta: float,
-    params: DecoyProtocolParams = DEFAULT_PROTOCOL,
-    terms: int = SERIES_TERMS,
-) -> tuple[float, float]:
-    """Gain and QBER via the truncated photon-number expansion.
-
-    Cross-check for :func:`gain_and_qber`; the two agree to ~1e-12 relative
-    for intensities <= 2 at 50 terms.
-    """
-    if intensity < 0.0:
-        raise ValueError(f"intensity must be nonnegative, got {intensity}")
-    gain = 0.0
-    errors = 0.0
-    for n in range(terms + 1):
-        pn = poisson_pn(n, intensity)
-        yn = yield_n(n, delta, params.y0)
-        gain += pn * yn
-        # Yn * en = Y0 / 2; written out to keep the zero-yield case exact.
-        errors += pn * (params.y0 / 2.0 if yn > 0.0 else 0.0)
-    if gain == 0.0:
-        raise DegenerateChannelError(
-            "gain is zero (vacuum input and no background); QBER undefined"
-        )
-    return gain, errors / gain
 
 
 def single_photon_bounds(

@@ -22,6 +22,8 @@ import numpy as np
 __all__ = ["LpStatus", "LinearProgram", "LpSolution", "solve"]
 
 _PIVOT_TOL = 1e-10
+_OPT_TOL = 1e-9  # reduced-cost optimality tolerance
+_FEAS_TOL = 1e-8  # relative feasibility tolerance of rows, bounds and the result
 _DEGENERATE_SWITCH = 24  # consecutive degenerate pivots before Bland engages
 
 
@@ -115,8 +117,8 @@ class _Tableau:
         t[row, col] = 1.0
         self.basis[row] = col
 
-    def choose_entering(self, reduced: np.ndarray, allowed: np.ndarray, tol: float) -> int:
-        candidates = np.where(allowed & (reduced < -tol))[0]
+    def choose_entering(self, reduced: np.ndarray) -> int:
+        candidates = np.where(reduced < -_OPT_TOL)[0]
         if candidates.size == 0:
             return -1
         if self.blands_rule:
@@ -143,11 +145,11 @@ class _Tableau:
             self._degenerate_run = 0
         return int(leave)
 
-    def run(self, cost: np.ndarray, allowed: np.ndarray, tol: float) -> LpStatus:
+    def run(self, cost: np.ndarray) -> LpStatus:
         max_iter = 200 * (self.t.shape[0] + self.num_cols) + 10_000
         for _ in range(max_iter):
             reduced = self.reduced_costs(cost)
-            entering = self.choose_entering(reduced, allowed, tol)
+            entering = self.choose_entering(reduced)
             if entering < 0:
                 return LpStatus.OPTIMAL
             leaving = self.choose_leaving(entering)
@@ -157,13 +159,12 @@ class _Tableau:
         raise RuntimeError("simplex iteration limit exceeded")  # pragma: no cover
 
 
-def solve(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve the program; returns Optimal/Infeasible/Unbounded with x and value.
 
-    ``tol`` is the reduced-cost optimality tolerance; feasibility is
-    checked to 10*tol (1e-8 at the default).
+    Reduced costs count as optimal above -1e-9; rows, bounds and the
+    returned point are held to 1e-8 relative to their scale.
     """
-    feas_tol = 10.0 * tol
     n = lp.num_variables
     bounds = lp.bounds if lp.bounds is not None else tuple((0.0, None) for _ in range(n))
 
@@ -200,8 +201,7 @@ def solve(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
     def finish(x_free: np.ndarray) -> LpSolution:
         x = lows.copy()
         x[free_idx] += x_free
-        residual_ok = _feasible(lp, x, feas_tol)
-        if not residual_ok:  # pragma: no cover - numerical safety net
+        if not _feasible(lp, x):  # pragma: no cover - numerical safety net
             raise ArithmeticError("simplex returned an infeasible point")
         return LpSolution(
             status=LpStatus.OPTIMAL, x=x, objective_value=float(lp.objective @ x)
@@ -210,7 +210,7 @@ def solve(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
     n_free = free_idx.size
     if n_free == 0:
         scale = max(1.0, float(np.abs(b_ub).max(initial=0.0)), float(np.abs(b_eq).max(initial=0.0)))
-        if np.all(b_ub >= -feas_tol * scale) and np.all(np.abs(b_eq) <= feas_tol * scale):
+        if np.all(b_ub >= -_FEAS_TOL * scale) and np.all(np.abs(b_eq) <= _FEAS_TOL * scale):
             return finish(np.zeros(0))
         return LpSolution(status=LpStatus.INFEASIBLE)
 
@@ -219,7 +219,7 @@ def solve(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
     if m == 0:
         # No rows at all: the origin of the shifted problem is optimal unless
         # some cost coefficient rewards growing a variable without limit.
-        if np.any(c_free < -tol):
+        if np.any(c_free < -_OPT_TOL):
             return LpSolution(status=LpStatus.UNBOUNDED)
         return finish(np.zeros(n_free))
 
@@ -255,12 +255,11 @@ def solve(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
     if num_artificial:
         phase1_cost = np.zeros(total_cols)
         phase1_cost[n_free + m_ub :] = 1.0
-        allowed = np.ones(total_cols, dtype=bool)
-        status = tableau.run(phase1_cost, allowed, tol)
+        status = tableau.run(phase1_cost)
         if status is not LpStatus.OPTIMAL:  # pragma: no cover - cannot be unbounded
             raise RuntimeError("phase 1 terminated abnormally")
         scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-        if tableau.objective(phase1_cost) > feas_tol * scale:
+        if tableau.objective(phase1_cost) > _FEAS_TOL * scale:
             return LpSolution(status=LpStatus.INFEASIBLE)
         _evict_artificials(tableau, n_free + m_ub)
         tableau.t = np.delete(tableau.t, np.s_[n_free + m_ub : total_cols], axis=1)
@@ -268,10 +267,9 @@ def solve(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
 
     phase2_cost = np.zeros(total_cols)
     phase2_cost[:n_free] = c_free
-    allowed = np.ones(total_cols, dtype=bool)
     tableau.blands_rule = False
     tableau._degenerate_run = 0
-    status = tableau.run(phase2_cost, allowed, tol)
+    status = tableau.run(phase2_cost)
     if status is LpStatus.UNBOUNDED:
         return LpSolution(status=LpStatus.UNBOUNDED)
 
@@ -300,18 +298,18 @@ def _evict_artificials(tableau: _Tableau, first_artificial: int) -> None:
         tableau.basis = [bi for r, bi in enumerate(tableau.basis) if r not in set(drop_rows)]
 
 
-def _feasible(lp: LinearProgram, x: np.ndarray, feas_tol: float) -> bool:
-    scale = max(1.0, float(np.abs(x).max(initial=0.0)))
+def _feasible(lp: LinearProgram, x: np.ndarray) -> bool:
+    tol = _FEAS_TOL * max(1.0, float(np.abs(x).max(initial=0.0)))
     if lp.a_ub is not None:
-        if np.any(lp.a_ub @ x - lp.b_ub > feas_tol * scale):
+        if np.any(lp.a_ub @ x - lp.b_ub > tol):
             return False
     if lp.a_eq is not None:
-        if np.any(np.abs(lp.a_eq @ x - lp.b_eq) > feas_tol * scale):
+        if np.any(np.abs(lp.a_eq @ x - lp.b_eq) > tol):
             return False
     bounds = lp.bounds if lp.bounds is not None else tuple((0.0, None) for _ in range(x.size))
     for j, (lo, hi) in enumerate(bounds):
-        if x[j] < lo - feas_tol * scale:
+        if x[j] < lo - tol:
             return False
-        if hi is not None and x[j] > hi + feas_tol * scale:
+        if hi is not None and x[j] > hi + tol:
             return False
     return True

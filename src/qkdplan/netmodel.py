@@ -7,8 +7,7 @@ key pool that grows while the network is up and is consumed by relaying.
 Pools are undirected: the shared secret on a link is symmetric between
 its two holders, so flow in either direction draws from the same pool.
 
-Also provides the trusted-relay hop-by-hop XOR forwarding demo and the
-scenario JSON loader used by the CLI.
+Also provides the scenario JSON loader used by the CLI.
 """
 from __future__ import annotations
 
@@ -19,10 +18,9 @@ import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 from . import linkbudget
-from .decoy import DEFAULT_PROTOCOL
 
 __all__ = [
     "NodeKind",
@@ -32,11 +30,8 @@ __all__ = [
     "Request",
     "Scenario",
     "ScenarioError",
-    "InsufficientKeysError",
-    "RelayTrace",
+    "canonical_pair",
     "accumulate_pools",
-    "consume",
-    "relay_chain_demo",
     "load_scenario",
 ]
 
@@ -47,8 +42,9 @@ class ScenarioError(ValueError):
     """A scenario file violates the schema; the message names the field."""
 
 
-class InsufficientKeysError(ValueError):
-    """A consume operation would overdraw a link's key pool."""
+def canonical_pair(a: str, b: str) -> tuple[str, str]:
+    """The unordered pair {a, b} as a sorted tuple: the key of the link a-b."""
+    return (a, b) if a <= b else (b, a)
 
 
 class NodeKind(str, Enum):
@@ -75,10 +71,9 @@ class Link:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValueError(f"link endpoints must be distinct, got {self.a!r} twice")
-        if self.a > self.b:
-            first, second = self.b, self.a
-            object.__setattr__(self, "a", first)
-            object.__setattr__(self, "b", second)
+        first, second = canonical_pair(self.a, self.b)
+        object.__setattr__(self, "a", first)
+        object.__setattr__(self, "b", second)
         if self.rate_bps < 0.0:
             raise ValueError(f"link rate must be >= 0, got {self.rate_bps}")
         if self.pool_bits < 0 or self.pool_bits != int(self.pool_bits):
@@ -87,10 +82,6 @@ class Link:
     @property
     def endpoints(self) -> tuple[str, str]:
         return (self.a, self.b)
-
-
-def _canonical_pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -169,19 +160,12 @@ class QkdGraph:
         except KeyError:
             raise KeyError(f"unknown node {node_id!r}") from None
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes_by_id
-
     def link_between(self, a: str, b: str) -> Link:
-        pair = _canonical_pair(a, b)
+        pair = canonical_pair(a, b)
         try:
             return self._links_by_pair[pair]
         except KeyError:
             raise KeyError(f"no link between {a!r} and {b!r}") from None
-
-    def neighbors(self, node_id: str) -> tuple[str, ...]:
-        out = [l.b if l.a == node_id else l.a for l in self.links if node_id in l.endpoints]
-        return tuple(sorted(out))
 
     def ground_stations(self) -> tuple[str, ...]:
         return tuple(
@@ -198,62 +182,6 @@ def accumulate_pools(graph: QkdGraph, duration_s: float) -> QkdGraph:
         for link in graph.links
     )
     return replace(graph, links=new_links, elapsed_seconds=graph.elapsed_seconds + duration_s)
-
-
-def consume(graph: QkdGraph, endpoints: tuple[str, str], bits: int) -> QkdGraph:
-    """Draw ``bits`` from one link's pool; overdraw raises, naming the link."""
-    if bits < 0 or bits != int(bits):
-        raise ValueError(f"consumed bits must be a nonnegative integer, got {bits}")
-    target = graph.link_between(*endpoints)
-    if bits > target.pool_bits:
-        raise InsufficientKeysError(
-            f"link {target.a}-{target.b} holds {target.pool_bits} bits, "
-            f"cannot consume {bits}"
-        )
-    new_links = tuple(
-        replace(l, pool_bits=l.pool_bits - int(bits)) if l.endpoints == target.endpoints else l
-        for l in graph.links
-    )
-    return replace(graph, links=new_links)
-
-
-class RelayTrace(NamedTuple):
-    transmitted: tuple[str, ...]
-    recovered: str
-    consumed_bits: int
-
-
-def _xor_bits(x: str, y: str) -> str:
-    return "".join("1" if cx != cy else "0" for cx, cy in zip(x, y))
-
-
-def relay_chain_demo(
-    key: str, path: Sequence[str], link_keys: Sequence[str]
-) -> RelayTrace:
-    """Forward a key along a trusted-relay chain with hop-by-hop XOR.
-
-    Each hop transmits key XOR link_key over the classical channel and the
-    next node recovers the key with a second XOR, consuming one pool bit
-    per key bit per hop.  Returns the per-hop transmitted strings, the key
-    recovered at the destination, and the total pool consumption.
-    """
-    if not key or any(c not in "01" for c in key):
-        raise ValueError(f"key must be a nonempty bit string, got {key!r}")
-    hops = len(path) - 1
-    if hops < 1:
-        raise ValueError("path must contain at least two nodes")
-    if len(link_keys) != hops:
-        raise ValueError(f"path has {hops} hops but {len(link_keys)} link keys were given")
-    for i, lk in enumerate(link_keys):
-        if len(lk) != len(key) or any(c not in "01" for c in lk):
-            raise ValueError(f"link key {i} must be a bit string of length {len(key)}")
-    transmitted = []
-    carried = key
-    for lk in link_keys:
-        sent = _xor_bits(carried, lk)
-        transmitted.append(sent)
-        carried = _xor_bits(sent, lk)  # receiving node recovers the key
-    return RelayTrace(tuple(transmitted), carried, len(key) * hops)
 
 
 class Request(NamedTuple):
@@ -283,7 +211,7 @@ def _check_id(value, where: str) -> str:
     return value
 
 
-def _parse_link(entry: dict, where: str, protocol) -> Link:
+def _parse_link(entry: dict, where: str) -> Link:
     _require(isinstance(entry, dict), where, "expected an object")
     for field in ("a", "b"):
         _require(field in entry, where, f"missing field {field!r}")
@@ -319,15 +247,13 @@ def _parse_link(entry: dict, where: str, protocol) -> Link:
     )
     params = linkbudget.preset_link(preset, distance_m=distance)
     try:
-        rate = linkbudget.link_performance(params, protocol).rate_bps
+        rate = linkbudget.link_performance(params).rate_bps
     except linkbudget.NearFieldError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
     return Link(a=a, b=b, rate_bps=rate)
 
 
-def load_scenario(
-    source: Union[str, Path, dict], protocol=DEFAULT_PROTOCOL
-) -> Scenario:
+def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     """Load and validate a scenario from a JSON file or an equivalent dict.
 
     Schema::
@@ -339,7 +265,8 @@ def load_scenario(
          "requests": [{"src":..., "dst":..., "demand_bits":...}, ...],
          "options": {"gs_relay": true|false}}
 
-    Preset links get their rate from the link budget and rate model.
+    Preset links get their rate from the link budget and the rate model
+    with the default protocol.
     Raises :class:`ScenarioError` naming the offending field.
     """
     if isinstance(source, (str, Path)):
@@ -372,7 +299,7 @@ def load_scenario(
         nodes.append(Node(id=node_id, kind=kinds[entry["kind"]]))
 
     links = [
-        _parse_link(entry, f"links[{i}]", protocol) for i, entry in enumerate(raw["links"])
+        _parse_link(entry, f"links[{i}]") for i, entry in enumerate(raw["links"])
     ]
 
     elapsed = raw.get("elapsed_seconds", 0)

@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .lp import LinearProgram, LpSolution, LpStatus, solve
-from .netmodel import NodeKind, QkdGraph
+from .netmodel import NodeKind, QkdGraph, canonical_pair
 
 __all__ = [
     "Commodity",
@@ -53,6 +53,8 @@ __all__ = [
 
 _FLOW_EPS = 1e-9
 _FLOOR_EPS = 1e-6
+_VERIFY_TOL = 1e-6  # relative slack of the verifier's capacity and conservation checks
+_CSV_SUM_TOL = 1e-9  # relative slack when flow rows add up to a summary's consumed value
 
 DirectedEdge = tuple[str, str]
 FlowKey = tuple[int, DirectedEdge]
@@ -137,10 +139,6 @@ def _check_commodities(graph: QkdGraph, commodities: Sequence[Commodity]) -> Non
                 )
 
 
-def _pair_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
 def _transit_allowed(graph: QkdGraph, node_id: str, endpoints: set[str], gs_relay: bool) -> bool:
     if node_id in endpoints:
         return True
@@ -192,7 +190,7 @@ def build_lp(
     weights = {}
     if edge_weights:
         for pair, weight in edge_weights.items():
-            a, b = sorted(pair)
+            a, b = canonical_pair(*pair)
             if weight < 0:
                 raise ValueError(f"edge weight for {a}-{b} must be >= 0, got {weight}")
             if (a, b) not in link_row:
@@ -216,7 +214,7 @@ def build_lp(
     a_eq = np.zeros((k * num_nodes, n))
     b_eq = np.zeros(k * num_nodes)
     for col, (i, (u, v)) in enumerate(columns, start=offset):
-        pair = _pair_key(u, v)
+        pair = canonical_pair(u, v)
         if objective == "mr":
             cost[col] = weights.get(pair, 1.0)
         a_ub[link_row[pair], col] = 1.0
@@ -281,13 +279,11 @@ def solve_fractional(
     objective: str,
     edge_weights: Optional[dict[tuple[str, str], float]] = None,
     gs_relay: bool = True,
-    lp_tol: Optional[float] = None,
 ) -> FlowSolution:
     """Solve the flow LP and decode it, without the integral rounding stage."""
     commodities = tuple(commodities)
     lp, columns = build_lp(graph, commodities, objective, edge_weights, gs_relay)
-    lp_solution = solve(lp, tol=lp_tol) if lp_tol is not None else solve(lp)
-    return _decode(objective, commodities, columns, lp_solution)
+    return _decode(objective, commodities, columns, solve(lp))
 
 
 # --- residual-graph path search -------------------------------------------
@@ -423,7 +419,7 @@ def greedy_round(
     residual: dict[tuple[str, str], int] = {}
     for link in graph.links:
         used = sum(
-            v for (ci, (a, b)), v in flows.items() if _pair_key(a, b) == link.endpoints
+            v for (ci, (a, b)), v in flows.items() if canonical_pair(a, b) == link.endpoints
         )
         if used > link.pool_bits:  # pragma: no cover - flooring cannot overdraw
             raise ArithmeticError(f"rounding overdrew link {link.a}-{link.b}")
@@ -439,7 +435,7 @@ def greedy_round(
         if path is None:
             active.remove(i)
             continue
-        bottleneck = min(residual[_pair_key(a, b)] for a, b in zip(path, path[1:]))
+        bottleneck = min(residual[canonical_pair(a, b)] for a, b in zip(path, path[1:]))
         push = bottleneck
         others = [(demands[j], j) for j in active if j != i]
         if others:
@@ -451,7 +447,7 @@ def greedy_round(
         demands[i] += push
         for a, b in zip(path, path[1:]):
             flows[(i, (a, b))] = flows.get((i, (a, b)), 0) + push
-            residual[_pair_key(a, b)] -= push
+            residual[canonical_pair(a, b)] -= push
         if caps[i] is not None and demands[i] >= caps[i]:
             active.remove(i)
 
@@ -476,7 +472,6 @@ def route_mmd(
     pairs: Optional[Iterable[tuple[str, str]]] = None,
     *,
     gs_relay: bool = True,
-    lp_tol: Optional[float] = None,
 ) -> FlowSolution:
     """Maximize the minimum fulfilled demand over ground-station pairs.
 
@@ -486,9 +481,7 @@ def route_mmd(
     if pairs is None:
         pairs = gs_pairs(graph)
     commodities = [Commodity(source=a, sink=b) for a, b in pairs]
-    fractional = solve_fractional(
-        graph, commodities, "mmd", gs_relay=gs_relay, lp_tol=lp_tol
-    )
+    fractional = solve_fractional(graph, commodities, "mmd", gs_relay=gs_relay)
     return greedy_round(graph, fractional, gs_relay=gs_relay)
 
 
@@ -498,7 +491,6 @@ def route_mr(
     edge_weights: Optional[dict[tuple[str, str], float]] = None,
     *,
     gs_relay: bool = True,
-    lp_tol: Optional[float] = None,
 ) -> FlowSolution:
     """Fulfill fixed requests with the least total key consumption.
 
@@ -510,11 +502,7 @@ def route_mr(
         Commodity(source=src, sink=dst, demand_bits=int(demand))
         for src, dst, demand in requests
     ]
-    fractional = solve_fractional(
-        graph, commodities, "mr", edge_weights, gs_relay=gs_relay, lp_tol=lp_tol
-    )
-    if fractional.status is not LpStatus.OPTIMAL:
-        return fractional
+    fractional = solve_fractional(graph, commodities, "mr", edge_weights, gs_relay=gs_relay)
     caps = [c.demand_bits for c in commodities]
     return greedy_round(graph, fractional, demand_caps=caps, gs_relay=gs_relay)
 
@@ -549,11 +537,11 @@ def route_sequential_dijkstra(
             )
             if path is None:
                 break
-            bottleneck = min(residual[_pair_key(a, b)] for a, b in zip(path, path[1:]))
+            bottleneck = min(residual[canonical_pair(a, b)] for a, b in zip(path, path[1:]))
             push = min(bottleneck, remaining)
             for a, b in zip(path, path[1:]):
                 flows[(i, (a, b))] = flows.get((i, (a, b)), 0) + push
-                residual[_pair_key(a, b)] -= push
+                residual[canonical_pair(a, b)] -= push
             remaining -= push
         fulfilled.append(commodity.demand_bits - remaining)
     return FlowSolution(
@@ -578,7 +566,6 @@ def verify_solution(
     graph: QkdGraph,
     commodities: Sequence[Commodity],
     solution: FlowSolution,
-    tol: float = 1e-6,
     *,
     gs_relay: bool = True,
 ) -> VerificationReport:
@@ -598,15 +585,15 @@ def verify_solution(
         if not 0 <= i < len(commodities):
             violations.append(f"flow references unknown commodity index {i}")
             continue
-        pair = _pair_key(a, b)
+        pair = canonical_pair(a, b)
         if pair not in used:
             violations.append(f"flow on nonexistent link {a}-{b} (commodity {i})")
             continue
-        if value < -tol:
+        if value < -_VERIFY_TOL:
             violations.append(f"negative flow {value} on {a}->{b} (commodity {i})")
         used[pair] += value
         commodity = commodities[i]
-        if not gs_relay and value > tol:
+        if not gs_relay and value > _VERIFY_TOL:
             for end in (a, b):
                 if end not in commodity.pair and graph.node(end).kind == NodeKind.GROUND_STATION:
                     violations.append(
@@ -616,7 +603,7 @@ def verify_solution(
 
     for link in graph.links:
         total = used[link.endpoints]
-        if total > link.pool_bits + tol * max(1.0, link.pool_bits):
+        if total > link.pool_bits + _VERIFY_TOL * max(1.0, link.pool_bits):
             violations.append(
                 f"capacity exceeded on link {link.a}-{link.b}: "
                 f"{total} used > {link.pool_bits} pooled"
@@ -636,14 +623,14 @@ def verify_solution(
                 expected = demand
             elif node.id == commodity.sink:
                 expected = -demand
-            if abs(net[node.id] - expected) > tol * max(1.0, abs(demand)):
+            if abs(net[node.id] - expected) > _VERIFY_TOL * max(1.0, abs(demand)):
                 violations.append(
                     f"conservation violated at node {node.id} for commodity {i} "
                     f"({commodity.source}->{commodity.sink}): net {net[node.id]}, "
                     f"expected {expected}"
                 )
         requested = commodity.demand_bits
-        if requested is not None and demand > requested + tol * max(1.0, requested):
+        if requested is not None and demand > requested + _VERIFY_TOL * max(1.0, requested):
             violations.append(
                 f"commodity {i} ({commodity.source}->{commodity.sink}) delivers "
                 f"{demand:g} > requested {requested}"
@@ -739,33 +726,30 @@ def solution_from_csv(text: str) -> FlowSolution:
         raise ValueError("malformed summary section")
     commodities = []
     demands = []
+    consumed = []
     for row in summary_rows[1:]:
         src, dst = row[0].split("->", 1)
         commodities.append(Commodity(source=src, sink=dst))
         demands.append(float(_parse_number(row[1])))
+        consumed.append(float(_parse_number(row[2])))
 
     if flow_rows[0] != ["commodity_src", "commodity_dst", "edge_from", "edge_to", "bits"]:
         raise ValueError("malformed flows section")
-    # Rows are grouped per commodity with edges sorted, so a pair mismatch or
-    # a non-increasing edge marks the start of the next commodity's block.
+    # Rows come grouped in commodity order and a commodity's rows add up to
+    # its consumed value, so a commodity's block ends once that sum is
+    # reached; this also splits two commodities that share a pair.
     flows: dict[FlowKey, float] = {}
     cursor = 0
-    last_edge: Optional[DirectedEdge] = None
+    total = 0.0
     for src, dst, edge_from, edge_to, bits in flow_rows[1:]:
-        edge = (edge_from, edge_to)
-        if (
-            cursor >= len(commodities)
-            or commodities[cursor].pair != (src, dst)
-            or (last_edge is not None and edge <= last_edge)
-        ):
+        while cursor < len(commodities) and total >= consumed[cursor] * (1 - _CSV_SUM_TOL):
             cursor += 1
-            last_edge = None
-            while cursor < len(commodities) and commodities[cursor].pair != (src, dst):
-                cursor += 1
-        if cursor >= len(commodities):
-            raise ValueError(f"flow row for unknown commodity {src}->{dst}")
-        flows[(cursor, edge)] = float(_parse_number(bits))
-        last_edge = edge
+            total = 0.0
+        if cursor >= len(commodities) or commodities[cursor].pair != (src, dst):
+            raise ValueError(f"flow row {src}->{dst} does not match the summary's consumed bits")
+        value = float(_parse_number(bits))
+        flows[(cursor, (edge_from, edge_to))] = value
+        total += value
 
     return FlowSolution(
         kind=kind,

@@ -10,6 +10,7 @@ from qkdplan.cli import (
     EXIT_INPUT_ERROR,
     EXIT_MODEL_DOMAIN,
     EXIT_OK,
+    EXIT_SOLVER_FAILURE,
     bundled_scenarios,
     main,
 )
@@ -119,17 +120,31 @@ class TestPlanCommand:
         assert "| A->D | 2000 |" in out
         assert "| B->D | 1600 |" in out
 
-    def test_lp_tolerance_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QKDPLAN_LP_TOL", "1e-7")
-        assert main(["plan", "micro-shared", "--objective", "mmd"]) == EXIT_OK
-        capsys.readouterr()
-        for bad in ("not-a-number", "nan", "inf", "-1", "0"):
-            monkeypatch.setenv("QKDPLAN_LP_TOL", bad)
-            assert main(["plan", "micro-shared", "--objective", "mmd"]) == EXIT_INPUT_ERROR
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: QKDPLAN_LP_TOL")
-            assert captured.err.count("\n") == 1, bad
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.md"
+        argv = ["plan", "micro-line", "--objective", "mmd", "--out", str(target)]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}")
+        assert captured.err.count("\n") == 1
+        assert not target.exists()
+
+    @pytest.mark.parametrize("objective", ["mmd", "mr"])
+    @pytest.mark.parametrize(
+        "error",
+        [RuntimeError("simplex iteration limit exceeded"),
+         ArithmeticError("simplex returned an infeasible point")],
+    )
+    def test_solver_failure_exits_4(self, capsys, monkeypatch, objective, error):
+        def fail(lp):
+            raise error
+
+        monkeypatch.setattr("qkdplan.router.solve", fail)
+        assert main(["plan", "fig3like", "--objective", objective]) == EXIT_SOLVER_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: solver failed: {error}\n"
 
     def test_timing_goes_to_stderr(self, capsys):
         assert main(["plan", "micro-line", "--objective", "mmd"]) == EXIT_OK

@@ -468,6 +468,27 @@ class TestCsvRoundTrip:
         assert parsed.demands == solution.demands
         assert parsed.flows == solution.flows
 
+    def test_duplicate_pair_on_disjoint_paths_round_trips(self):
+        # Commodity 0 takes m->a->q and commodity 1 m->z->q, so the sorted
+        # flow rows keep increasing across the boundary between them.
+        graph = build_graph(
+            {"m": "gs", "q": "gs", "a": "leo", "z": "leo"},
+            [("m", "a", 5), ("a", "q", 5), ("m", "z", 5), ("z", "q", 5)],
+        )
+        solution = route_sequential_dijkstra(graph, [("m", "q", 5), ("m", "q", 5)])
+        assert solution.flows == {
+            (0, ("m", "a")): 5, (0, ("a", "q")): 5,
+            (1, ("m", "z")): 5, (1, ("z", "q")): 5,
+        }
+        parsed = solution_from_csv(solution_to_csv(solution))
+        assert parsed.flows == solution.flows
+        assert parsed.demands == solution.demands
+
+    def test_rows_that_do_not_add_up_are_rejected(self):
+        text = solution_to_csv(route_mmd(line_pools()))
+        with pytest.raises(ValueError, match="consumed"):
+            solution_from_csv(text.replace("g1->g2,6,12,", "g1->g2,6,5,"))
+
 
 class TestRandomizedProperties:
     def test_all_planners_verify_on_random_instances(self):
