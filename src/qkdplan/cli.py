@@ -220,9 +220,10 @@ def build_markdown(report: RunReport) -> str:
         "| pair | fulfilled_bits | consumed_bits | consumption_rate |",
         "| --- | --- | --- | --- |",
     ]
+    consumed_per_commodity = solution.consumed_per_commodity()
     for i, commodity in enumerate(solution.commodities):
         delivered = solution.demands[i]
-        consumed = solution.consumed_for(i)
+        consumed = consumed_per_commodity[i]
         rate = consumed / delivered if delivered > 0 else 0.0
         lines.append(
             f"| {commodity.source}->{commodity.sink} | {delivered:g} "

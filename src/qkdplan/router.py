@@ -10,9 +10,11 @@ link key pools and provides three planners:
   serves requests one at a time over min-hop paths with residual pools.
 
 Fractional LP solutions are made integral by :func:`greedy_round`: floor a
-path decomposition of each commodity's flow, then repeatedly give one more
-key to the commodity with the lowest fulfilled demand along the residual
-path that consumes the fewest pool bits, until no commodity can grow.
+path decomposition of each commodity's flow, then top the demands up by
+progressive filling.  The commodities tied at the lowest fulfilled demand
+each ship one more key, in index order, along the residual path that
+consumes the fewest pool bits; this round-robin repeats until no commodity
+can grow, and every stretch of identical rounds is applied in one step.
 
 Every undirected link contributes two directed flow variables to each
 commodity that may use both of its ends (with ``gs_relay`` off, ground
@@ -95,7 +97,14 @@ class FlowSolution:
         return sum(self.flows.values())
 
     def consumed_for(self, index: int) -> float:
-        return sum(v for (i, _), v in self.flows.items() if i == index)
+        return self.consumed_per_commodity()[index]
+
+    def consumed_per_commodity(self) -> tuple[float, ...]:
+        """Pool bits each commodity consumed, summed in one pass over the flows."""
+        totals: dict[int, float] = {}
+        for (i, _), v in self.flows.items():
+            totals[i] = totals.get(i, 0) + v
+        return tuple(totals.get(i, 0) for i in range(len(self.commodities)))
 
     @property
     def min_demand(self) -> float:
@@ -349,14 +358,17 @@ def _decompose_paths(
     work = {edge: value for edge, value in flows.items() if value > _FLOW_EPS}
     paths = []
     while True:
-        # BFS over the positive-flow digraph, deterministic neighbor order.
+        # BFS over the positive-flow digraph, each node's successors in sorted order.
+        successors: dict[str, list[str]] = {}
+        for u, w in sorted(work):
+            successors.setdefault(u, []).append(w)
         parents = {source: None}
         frontier = [source]
         while frontier and sink not in parents:
             next_frontier = []
             for v in frontier:
-                for (u, w), value in sorted(work.items()):
-                    if u == v and w not in parents:
+                for w in successors.get(v, ()):
+                    if w not in parents:
                         parents[w] = v
                         next_frontier.append(w)
             frontier = next_frontier
@@ -375,6 +387,39 @@ def _decompose_paths(
         paths.append((path, bottleneck))
 
 
+def _floor_paths(
+    graph: QkdGraph, fractional: FlowSolution
+) -> tuple[dict[FlowKey, int], list[int], dict[tuple[str, str], int]]:
+    """Rounding stage 1: floor each commodity's path decomposition.
+
+    Returns the integral flows, the demands they deliver and every link's
+    residual pool, in link order.
+    """
+    flows: dict[FlowKey, int] = {}
+    demands = [0] * len(fractional.commodities)
+    for i, commodity in enumerate(fractional.commodities):
+        mine = {edge: v for (ci, edge), v in fractional.flows.items() if ci == i}
+        for path, weight in _decompose_paths(mine, commodity.source, commodity.sink):
+            whole = int(math.floor(weight + _FLOOR_EPS))
+            if whole <= 0:
+                continue
+            demands[i] += whole
+            for a, b in zip(path, path[1:]):
+                flows[(i, (a, b))] = flows.get((i, (a, b)), 0) + whole
+
+    used: dict[tuple[str, str], int] = {}
+    for (_, (a, b)), v in flows.items():
+        pair = canonical_pair(a, b)
+        used[pair] = used.get(pair, 0) + v
+    residual: dict[tuple[str, str], int] = {}
+    for link in graph.links:
+        left = link.pool_bits - used.get(link.endpoints, 0)
+        if left < 0:  # pragma: no cover - flooring cannot overdraw
+            raise ArithmeticError(f"rounding overdrew link {link.a}-{link.b}")
+        residual[link.endpoints] = left
+    return flows, demands, residual
+
+
 def greedy_round(
     graph: QkdGraph,
     fractional: FlowSolution,
@@ -386,15 +431,26 @@ def greedy_round(
 
     Stage 1 floors a path decomposition of every commodity (flooring whole
     paths keeps conservation intact) and subtracts the integral flows from
-    the pools.  Stage 2 repeatedly picks the commodity with the lowest
-    fulfilled demand (ties by index) and ships one more key over the
-    residual min-hop path, retiring the commodity when no path is left or
-    its cap is reached.  ``demand_caps`` carries the requested amounts for
-    fixed-demand routing; max-min routing passes no caps.
+    the pools.  Stage 2 is progressive filling in whole keys: it repeatedly
+    gives one more key to the commodity with the lowest fulfilled demand
+    (ties by index) over its residual min-hop path, retiring the commodity
+    when no path is left or its cap is reached.  ``demand_caps`` carries
+    the requested amounts for fixed-demand routing; max-min routing passes
+    no caps.
 
-    Consecutive single-key augmentations that provably pick the same
-    commodity and path are batched, which changes nothing in the outcome
-    but keeps large pools fast.
+    That key-by-key sequence is a round-robin over the tied set T (the
+    active commodities at the lowest demand, in index order), and stage 2
+    applies r of its rounds at once: r is the least over T's links of
+    residual // (number of T's paths on the link), capped by the gap to
+    the next demand level and by T's cap headroom; when r is 0 only T's
+    first commodity ships a key.  The result is the same as key by key:
+    the set of links with residual >= 1 only shrinks, so a commodity's
+    lexicographically smallest min-hop path stays its choice while all of
+    its links keep residual >= 1 (and a commodity without a path never
+    gets one back); the residual term keeps every link of every path at
+    >= 1 up to its last use in round r; the gap keeps every other
+    commodity above T's level, so none of them is picked; and the index
+    order within a round is the order of the lowest-(demand, index) pick.
     """
     if fractional.status is not LpStatus.OPTIMAL:
         return fractional
@@ -403,53 +459,46 @@ def greedy_round(
     caps: list[Optional[int]] = list(demand_caps) if demand_caps is not None else [None] * k
     if len(caps) != k:
         raise ValueError(f"{len(caps)} caps for {k} commodities")
-
-    flows: dict[FlowKey, int] = {}
-    demands = [0] * k
-    for i, commodity in enumerate(commodities):
-        mine = {edge: v for (ci, edge), v in fractional.flows.items() if ci == i}
-        for path, weight in _decompose_paths(mine, commodity.source, commodity.sink):
-            whole = int(math.floor(weight + _FLOOR_EPS))
-            if whole <= 0:
-                continue
-            demands[i] += whole
-            for a, b in zip(path, path[1:]):
-                flows[(i, (a, b))] = flows.get((i, (a, b)), 0) + whole
-
-    residual: dict[tuple[str, str], int] = {}
-    for link in graph.links:
-        used = sum(
-            v for (ci, (a, b)), v in flows.items() if canonical_pair(a, b) == link.endpoints
-        )
-        if used > link.pool_bits:  # pragma: no cover - flooring cannot overdraw
-            raise ArithmeticError(f"rounding overdrew link {link.a}-{link.b}")
-        residual[link.endpoints] = link.pool_bits - used
+    flows, demands, residual = _floor_paths(graph, fractional)
 
     active = [i for i in range(k) if caps[i] is None or demands[i] < caps[i]]
     while active:
-        i = min(active, key=lambda idx: (demands[idx], idx))
-        commodity = commodities[i]
-        path = _shortest_residual_path(
-            graph, residual, commodity.source, commodity.sink, gs_relay
-        )
-        if path is None:
-            active.remove(i)
+        level = min(demands[i] for i in active)
+        tied = [i for i in active if demands[i] == level]
+        paths: dict[int, list[str]] = {}
+        for i in tied:
+            path = _shortest_residual_path(
+                graph, residual, commodities[i].source, commodities[i].sink, gs_relay
+            )
+            if path is None:
+                active.remove(i)
+            else:
+                paths[i] = path
+        if not paths:
             continue
-        bottleneck = min(residual[canonical_pair(a, b)] for a, b in zip(path, path[1:]))
-        push = bottleneck
-        others = [(demands[j], j) for j in active if j != i]
-        if others:
-            other_demand, j = min(others)
-            window = other_demand - demands[i] + (1 if i < j else 0)
-            push = min(push, max(window, 1))
-        if caps[i] is not None:
-            push = min(push, caps[i] - demands[i])
-        demands[i] += push
-        for a, b in zip(path, path[1:]):
-            flows[(i, (a, b))] = flows.get((i, (a, b)), 0) + push
-            residual[canonical_pair(a, b)] -= push
-        if caps[i] is not None and demands[i] >= caps[i]:
-            active.remove(i)
+        load: dict[tuple[str, str], int] = {}
+        for path in paths.values():
+            for a, b in zip(path, path[1:]):
+                pair = canonical_pair(a, b)
+                load[pair] = load.get(pair, 0) + 1
+        rounds = min(residual[pair] // n for pair, n in load.items())
+        above = [demands[j] for j in active if demands[j] > level]
+        if above:
+            rounds = min(rounds, min(above) - level)
+        for i in paths:
+            if caps[i] is not None:
+                rounds = min(rounds, caps[i] - level)
+        if rounds == 0:  # a link holds fewer keys than T's paths on it
+            first = min(paths)
+            paths = {first: paths[first]}
+            rounds = 1
+        for i, path in paths.items():
+            demands[i] += rounds
+            for a, b in zip(path, path[1:]):
+                flows[(i, (a, b))] = flows.get((i, (a, b)), 0) + rounds
+                residual[canonical_pair(a, b)] -= rounds
+            if caps[i] is not None and demands[i] >= caps[i]:
+                active.remove(i)
 
     if fractional.kind == "mmd":
         objective = float(min(demands)) if demands else 0.0
@@ -688,9 +737,10 @@ def solution_to_csv(solution: FlowSolution) -> str:
             )
     writer.writerow([])
     writer.writerow(["pair", "fulfilled_demand", "consumed", "consumption_rate"])
+    consumed_per_commodity = solution.consumed_per_commodity()
     for i, commodity in enumerate(solution.commodities):
         delivered = solution.demands[i]
-        consumed = solution.consumed_for(i)
+        consumed = consumed_per_commodity[i]
         rate = consumed / delivered if delivered > 0 else 0.0
         writer.writerow(
             [

@@ -2,7 +2,10 @@
 
 Nothing here reuses the package's LP or routing machinery: max-flow values
 come from cut enumeration, integral optima from exhaustive path-flow
-search, and fractional LP references from scipy's HiGHS solver.  The
+search, and fractional LP references from scipy's HiGHS solver.  The one
+exception is the key-by-key reference for greedy rounding's stage 2,
+which shares the router's stage 1 and path search so that only the
+batching of stage 2 is under test.  The
 reference models check the planner's assumptions from first principles:
 drawing bits from one link's pool, trusted-relay forwarding with
 hop-by-hop XOR, and gains/QBERs summed over photon numbers.
@@ -25,8 +28,14 @@ from qkdplan.decoy import (
     yield_n,
 )
 from qkdplan.lp import LinearProgram, LpStatus
-from qkdplan.netmodel import Link, Node, NodeKind, QkdGraph
-from qkdplan.router import Commodity
+from qkdplan.netmodel import Link, Node, NodeKind, QkdGraph, canonical_pair
+from qkdplan.router import (
+    Commodity,
+    FlowKey,
+    FlowSolution,
+    _floor_paths,
+    _shortest_residual_path,
+)
 
 # --- graph helpers -----------------------------------------------------------
 
@@ -216,6 +225,42 @@ def mr_integral_optimum(
 
     rec(0, pools0, 0)
     return best[0]
+
+
+# --- key-by-key rounding reference ----------------------------------------------
+
+
+def greedy_round_one_key(
+    graph: QkdGraph,
+    fractional: FlowSolution,
+    demand_caps: Optional[Sequence[Optional[int]]] = None,
+    gs_relay: bool = True,
+) -> tuple[dict[FlowKey, int], tuple[float, ...]]:
+    """Stage 2 of ``greedy_round`` literally, one key per step.
+
+    Reuses the router's stage 1 and residual path search and returns the
+    positive flows and the demands; ``greedy_round``, which applies whole
+    rounds at once, must give exactly these.
+    """
+    commodities = fractional.commodities
+    caps = list(demand_caps) if demand_caps is not None else [None] * len(commodities)
+    flows, demands, residual = _floor_paths(graph, fractional)
+    active = [i for i, cap in enumerate(caps) if cap is None or demands[i] < cap]
+    while active:
+        i = min(active, key=lambda idx: (demands[idx], idx))
+        path = _shortest_residual_path(
+            graph, residual, commodities[i].source, commodities[i].sink, gs_relay
+        )
+        if path is None:
+            active.remove(i)
+            continue
+        demands[i] += 1
+        for a, b in zip(path, path[1:]):
+            flows[(i, (a, b))] = flows.get((i, (a, b)), 0) + 1
+            residual[canonical_pair(a, b)] -= 1
+        if caps[i] is not None and demands[i] >= caps[i]:
+            active.remove(i)
+    return {key: v for key, v in flows.items() if v > 0}, tuple(float(d) for d in demands)
 
 
 # --- scipy reference ----------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qkdplan import router
 from qkdplan.lp import LpStatus
 from qkdplan.router import (
     Commodity,
@@ -19,7 +20,13 @@ from qkdplan.router import (
     verify_solution,
 )
 
-from oracles import build_graph, min_cut_single, mmd_cut_bound, random_instance
+from oracles import (
+    build_graph,
+    greedy_round_one_key,
+    min_cut_single,
+    mmd_cut_bound,
+    random_instance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +61,13 @@ def diamond_pools(pool=3):
     return build_graph(
         {"a": "gs", "b": "gs", "s1": "leo", "s2": "leo"},
         [("a", "s1", pool), ("s1", "b", pool), ("a", "s2", pool), ("s2", "b", pool)],
+    )
+
+
+def scaled_pools(graph, scale):
+    return build_graph(
+        {node.id: node.kind.value for node in graph.nodes},
+        [(link.a, link.b, link.pool_bits * scale) for link in graph.links],
     )
 
 
@@ -197,6 +211,50 @@ class TestGreedyRound:
             rounded = greedy_round(graph, fractional)
             for frac, whole in zip(fractional.demands, rounded.demands):
                 assert whole >= int(frac + 1e-6) - 1e-9
+
+    @pytest.mark.parametrize("gs_relay", [True, False])
+    @pytest.mark.parametrize("scale", [1, 7, 50, 300])
+    def test_rounds_equal_one_key_at_a_time(self, scale, gs_relay):
+        # larger pools leave more top-up: multi-round batches, rounds cut
+        # short by a shared link, and gaps between demand levels
+        rng = random.Random(4000 + scale)
+        for case in range(40):
+            graph, pairs = random_instance(rng, max_commodities=6, max_paths=None)
+            graph = scaled_pools(graph, scale)
+            caps = [rng.randint(0, 6 * scale) for _ in pairs]
+            mmd = solve_fractional(
+                graph, [Commodity(a, b) for a, b in pairs], "mmd", gs_relay=gs_relay
+            )
+            mr = solve_fractional(
+                graph,
+                [Commodity(a, b, cap) for (a, b), cap in zip(pairs, caps)],
+                "mr",
+                gs_relay=gs_relay,
+            )
+            # mr optima are mostly integral and leave nothing to top up, so
+            # the caps also bound a top-up of the mmd flow
+            for fractional, demand_caps in ((mmd, None), (mmd, caps), (mr, caps)):
+                if fractional.status is not LpStatus.OPTIMAL:
+                    continue
+                rounded = greedy_round(
+                    graph, fractional, demand_caps=demand_caps, gs_relay=gs_relay
+                )
+                flows, demands = greedy_round_one_key(graph, fractional, demand_caps, gs_relay)
+                assert list(rounded.flows.items()) == list(flows.items()), f"case {case}"
+                assert rounded.demands == demands, f"case {case}"
+
+    def test_fig3like_top_up_needs_few_path_searches(self, fig3like, monkeypatch):
+        # the top-up ships 144,300 keys here; one search per key takes seconds
+        calls = []
+        search = router._shortest_residual_path
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(router, "_shortest_residual_path", counting)
+        route_mmd(fig3like)
+        assert len(calls) < 200
 
 
 class TestRouteMmd:
