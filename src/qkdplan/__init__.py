@@ -18,11 +18,8 @@ from .decoy import (
     forward_key_rate,
     forward_observables,
     gain_and_qber,
-    poisson_pn,
     secret_key_rate,
     single_photon_bounds,
-    yield_n,
-    error_rate_n,
 )
 from .linkbudget import (
     PRESETS,

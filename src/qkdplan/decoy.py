@@ -1,10 +1,9 @@
 """Vacuum-plus-weak-decoy BB84 key-rate estimation.
 
 Implements the standard asymptotic analysis for a weak-coherent-pulse
-source over a lossy channel: photon-number statistics, per-photon-number
-yields and error rates under a dark-count-only error model, signal/decoy
-gains and QBERs, the single-photon lower/upper bounds, and the resulting
-secret-key rate lower bound.
+source over a lossy channel: closed-form signal/decoy gains and QBERs
+under a dark-count-only error model, the single-photon lower/upper
+bounds, and the resulting secret-key rate lower bound.
 
 All functions are pure and operate on plain floats; the channel enters
 only through the end-to-end single-photon detection probability ``delta``
@@ -23,10 +22,7 @@ __all__ = [
     "DegenerateChannelError",
     "BoundCollapseError",
     "DEFAULT_PROTOCOL",
-    "poisson_pn",
     "binary_entropy",
-    "yield_n",
-    "error_rate_n",
     "gain_and_qber",
     "single_photon_bounds",
     "secret_key_rate",
@@ -102,18 +98,6 @@ class SinglePhotonBounds(NamedTuple):
     e1_upper: float
 
 
-def poisson_pn(n: int, mu: float) -> float:
-    """Probability that a phase-randomized pulse of intensity mu has n photons."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"photon number must be a nonnegative integer, got {n}")
-    if mu < 0.0:
-        raise ValueError(f"intensity must be nonnegative, got {mu}")
-    n = int(n)
-    if mu == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
-
-
 def binary_entropy(x: float) -> float:
     """Binary Shannon entropy in bits, with the limit value 0 at x in {0, 1}."""
     if not 0.0 <= x <= 1.0:
@@ -121,46 +105,6 @@ def binary_entropy(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
-def _photon_arrival(n: int, delta: float) -> float:
-    # Probability that at least one of n photons survives the channel,
-    # 1 - (1 - delta)^n, written to avoid cancellation at small delta.
-    if n == 0:
-        return 0.0
-    if delta == 1.0:
-        return 1.0
-    return -math.expm1(n * math.log1p(-delta))
-
-
-def yield_n(n: int, delta: float, y0: float) -> float:
-    """Probability of a conclusive detection for an n-photon pulse.
-
-    Uses the exact inclusion-exclusion form Yn = Y0 + dn - Y0*dn, which
-    stays within [0, 1] for all inputs.
-    """
-    if n < 0 or n != int(n):
-        raise ValueError(f"photon number must be a nonnegative integer, got {n}")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"transmittance must be in [0, 1], got {delta}")
-    if not 0.0 <= y0 <= 1.0:
-        raise ValueError(f"background yield must be in [0, 1], got {y0}")
-    dn = _photon_arrival(int(n), delta)
-    return min(y0 + dn - y0 * dn, 1.0)  # clamp a possible 1-ulp overshoot
-
-
-def error_rate_n(n: int, delta: float, y0: float) -> float:
-    """Error rate of n-photon signals under the dark-count-only model.
-
-    Errors come exclusively from background clicks, half of which land on
-    the wrong detector, so e_n = Y0 / (2 Yn) and e_0 = 1/2 by construction.
-    """
-    yn = yield_n(n, delta, y0)
-    if yn == 0.0:
-        raise DegenerateChannelError(
-            f"yield of {n}-photon pulses is zero; error rate undefined"
-        )
-    return y0 / (2.0 * yn)
 
 
 def gain_and_qber(

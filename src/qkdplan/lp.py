@@ -4,9 +4,10 @@ Minimizes c.x subject to inequality rows A_ub x <= b_ub, equality rows
 A_eq x = b_eq, and per-variable bounds lo <= x <= hi (hi may be
 unbounded).  Two-phase tableau simplex: phase 1 drives artificial
 variables out with a feasibility objective, phase 2 optimizes the real
-cost.  Pivoting uses Dantzig's rule for speed and switches permanently to
-Bland's rule after a run of degenerate pivots, which guarantees
-termination on the highly degenerate flow LPs this package produces.
+cost.  Each phase pivots by Dantzig's rule for speed and, after a run of
+degenerate pivots, by Bland's rule for the rest of that phase, which
+guarantees termination on the highly degenerate flow LPs this package
+produces.
 
 Everything is deterministic: identical inputs take identical pivot
 sequences and return identical solutions.
@@ -87,78 +88,6 @@ class LpSolution:
     objective_value: Optional[float] = None
 
 
-class _Tableau:
-    """Working state of the simplex: rows [A | b] with a tracked basis."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, basis: list[int]):
-        self.t = np.hstack([a, b.reshape(-1, 1)])
-        self.basis = basis
-        self.blands_rule = False
-        self._degenerate_run = 0
-
-    @property
-    def num_cols(self) -> int:
-        return self.t.shape[1] - 1
-
-    def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        cb = cost[self.basis]
-        return cost - cb @ self.t[:, :-1]
-
-    def objective(self, cost: np.ndarray) -> float:
-        return float(cost[self.basis] @ self.t[:, -1])
-
-    def pivot(self, row: int, col: int) -> None:
-        t = self.t
-        t[row] /= t[row, col]
-        column = t[:, col].copy()
-        column[row] = 0.0
-        t -= np.outer(column, t[row])
-        t[:, col] = 0.0
-        t[row, col] = 1.0
-        self.basis[row] = col
-
-    def choose_entering(self, reduced: np.ndarray) -> int:
-        candidates = np.where(reduced < -_OPT_TOL)[0]
-        if candidates.size == 0:
-            return -1
-        if self.blands_rule:
-            return int(candidates[0])
-        return int(candidates[np.argmin(reduced[candidates])])
-
-    def choose_leaving(self, col: int) -> int:
-        column = self.t[:, col]
-        rhs = self.t[:, -1]
-        rows = np.where(column > _PIVOT_TOL)[0]
-        if rows.size == 0:
-            return -1
-        ratios = rhs[rows] / column[rows]
-        best = ratios.min()
-        near = rows[ratios <= best + 1e-12 + 1e-9 * abs(best)]
-        # Bland tie-break: leave on the row whose basic variable has the
-        # smallest index (also keeps Dantzig mode deterministic).
-        leave = min(near, key=lambda r: self.basis[r])
-        if best <= _PIVOT_TOL:
-            self._degenerate_run += 1
-            if self._degenerate_run >= _DEGENERATE_SWITCH:
-                self.blands_rule = True
-        else:
-            self._degenerate_run = 0
-        return int(leave)
-
-    def run(self, cost: np.ndarray) -> LpStatus:
-        max_iter = 200 * (self.t.shape[0] + self.num_cols) + 10_000
-        for _ in range(max_iter):
-            reduced = self.reduced_costs(cost)
-            entering = self.choose_entering(reduced)
-            if entering < 0:
-                return LpStatus.OPTIMAL
-            leaving = self.choose_leaving(entering)
-            if leaving < 0:
-                return LpStatus.UNBOUNDED
-            self.pivot(leaving, entering)
-        raise RuntimeError("simplex iteration limit exceeded")  # pragma: no cover
-
-
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve the program; returns Optimal/Infeasible/Unbounded with x and value.
 
@@ -181,7 +110,6 @@ def solve(lp: LinearProgram) -> LpSolution:
     free_idx = np.where(~fixed)[0]
     b_ub = b_ub - a_ub @ lows
     b_eq = b_eq - a_eq @ lows
-    objective_offset = float(c @ lows)
     a_ub = a_ub[:, free_idx]
     a_eq = a_eq[:, free_idx]
     c_free = c[free_idx]
@@ -198,30 +126,9 @@ def solve(lp: LinearProgram) -> LpSolution:
         a_ub = np.vstack([a_ub, np.array(upper_rows)])
         b_ub = np.concatenate([b_ub, np.array(upper_rhs)])
 
-    def finish(x_free: np.ndarray) -> LpSolution:
-        x = lows.copy()
-        x[free_idx] += x_free
-        if not _feasible(lp, x):  # pragma: no cover - numerical safety net
-            raise ArithmeticError("simplex returned an infeasible point")
-        return LpSolution(
-            status=LpStatus.OPTIMAL, x=x, objective_value=float(lp.objective @ x)
-        )
-
     n_free = free_idx.size
-    if n_free == 0:
-        scale = max(1.0, float(np.abs(b_ub).max(initial=0.0)), float(np.abs(b_eq).max(initial=0.0)))
-        if np.all(b_ub >= -_FEAS_TOL * scale) and np.all(np.abs(b_eq) <= _FEAS_TOL * scale):
-            return finish(np.zeros(0))
-        return LpSolution(status=LpStatus.INFEASIBLE)
-
     m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
     m = m_ub + m_eq
-    if m == 0:
-        # No rows at all: the origin of the shifted problem is optimal unless
-        # some cost coefficient rewards growing a variable without limit.
-        if np.any(c_free < -_OPT_TOL):
-            return LpSolution(status=LpStatus.UNBOUNDED)
-        return finish(np.zeros(n_free))
 
     # Columns: structural | ub slacks | artificials (appended as needed).
     a = np.zeros((m, n_free + m_ub))
@@ -245,57 +152,101 @@ def solve(lp: LinearProgram) -> LpSolution:
             artificial_cols.append(col)
             basis.append(next_col)
             next_col += 1
-    num_artificial = len(artificial_cols)
-    if num_artificial:
+    if artificial_cols:
         a = np.hstack([a, np.column_stack(artificial_cols)])
+    t = np.hstack([a, b.reshape(-1, 1)])
 
-    tableau = _Tableau(a, b, basis)
-    total_cols = tableau.num_cols
-
-    if num_artificial:
-        phase1_cost = np.zeros(total_cols)
+    if artificial_cols:
+        phase1_cost = np.zeros(t.shape[1] - 1)
         phase1_cost[n_free + m_ub :] = 1.0
-        status = tableau.run(phase1_cost)
-        if status is not LpStatus.OPTIMAL:  # pragma: no cover - cannot be unbounded
+        if _run(t, basis, phase1_cost) is not LpStatus.OPTIMAL:  # pragma: no cover - cannot be unbounded
             raise RuntimeError("phase 1 terminated abnormally")
         scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-        if tableau.objective(phase1_cost) > _FEAS_TOL * scale:
+        if float(phase1_cost[basis] @ t[:, -1]) > _FEAS_TOL * scale:
             return LpSolution(status=LpStatus.INFEASIBLE)
-        _evict_artificials(tableau, n_free + m_ub)
-        tableau.t = np.delete(tableau.t, np.s_[n_free + m_ub : total_cols], axis=1)
-        total_cols = tableau.num_cols
+        t, basis = _evict_artificials(t, basis, n_free + m_ub)
 
-    phase2_cost = np.zeros(total_cols)
+    phase2_cost = np.zeros(t.shape[1] - 1)
     phase2_cost[:n_free] = c_free
-    tableau.blands_rule = False
-    tableau._degenerate_run = 0
-    status = tableau.run(phase2_cost)
-    if status is LpStatus.UNBOUNDED:
+    if _run(t, basis, phase2_cost) is LpStatus.UNBOUNDED:
         return LpSolution(status=LpStatus.UNBOUNDED)
 
-    x_free = np.zeros(total_cols)
-    x_free[tableau.basis] = tableau.t[:, -1]
-    return finish(x_free[:n_free])
+    x = lows.copy()
+    x_free = np.zeros(t.shape[1] - 1)
+    x_free[basis] = t[:, -1]
+    x[free_idx] += x_free[:n_free]
+    if not _feasible(lp, x):  # pragma: no cover - numerical safety net
+        raise ArithmeticError("simplex returned an infeasible point")
+    return LpSolution(status=LpStatus.OPTIMAL, x=x, objective_value=float(lp.objective @ x))
 
 
-def _evict_artificials(tableau: _Tableau, first_artificial: int) -> None:
-    """Pivot zero-level artificial variables out of the basis.
+def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """Make column col basic in row, in place."""
+    t[row] /= t[row, col]
+    column = t[:, col].copy()
+    column[row] = 0.0
+    t -= np.outer(column, t[row])
+    t[:, col] = 0.0
+    t[row, col] = 1.0
+    basis[row] = col
+
+
+def _run(t: np.ndarray, basis: list[int], cost: np.ndarray) -> LpStatus:
+    """Pivot the tableau [A | b] in place until cost is optimal or unbounded.
+
+    Dantzig's rule picks the entering column until _DEGENERATE_SWITCH
+    degenerate pivots come in a row; Bland's rule then holds for the rest
+    of this run.
+    """
+    blands_rule = False
+    degenerate_run = 0
+    for _ in range(200 * (t.shape[0] + t.shape[1] - 1) + 10_000):
+        reduced = cost - cost[basis] @ t[:, :-1]
+        candidates = np.where(reduced < -_OPT_TOL)[0]
+        if candidates.size == 0:
+            return LpStatus.OPTIMAL
+        if blands_rule:
+            col = int(candidates[0])
+        else:
+            col = int(candidates[np.argmin(reduced[candidates])])
+        column = t[:, col]
+        rows = np.where(column > _PIVOT_TOL)[0]
+        if rows.size == 0:
+            return LpStatus.UNBOUNDED
+        ratios = t[rows, -1] / column[rows]
+        best = ratios.min()
+        near = rows[ratios <= best + 1e-12 + 1e-9 * abs(best)]
+        # Bland tie-break: leave on the row whose basic variable has the
+        # smallest index (also keeps Dantzig mode deterministic).
+        leave = int(min(near, key=lambda r: basis[r]))
+        if best <= _PIVOT_TOL:
+            degenerate_run += 1
+            blands_rule = blands_rule or degenerate_run >= _DEGENERATE_SWITCH
+        else:
+            degenerate_run = 0
+        _pivot(t, basis, leave, col)
+    raise RuntimeError("simplex iteration limit exceeded")  # pragma: no cover
+
+
+def _evict_artificials(
+    t: np.ndarray, basis: list[int], first_artificial: int
+) -> tuple[np.ndarray, list[int]]:
+    """Pivot zero-level artificial variables out of the basis after phase 1.
 
     Rows whose artificial cannot be replaced are redundant constraints and
-    are dropped.
+    are dropped.  Returns the phase-2 tableau (kept rows, artificial
+    columns removed) and its basis.
     """
-    drop_rows = []
-    for row in range(tableau.t.shape[0]):
-        if tableau.basis[row] < first_artificial:
-            continue
-        candidates = np.where(np.abs(tableau.t[row, :first_artificial]) > _PIVOT_TOL)[0]
-        if candidates.size:
-            tableau.pivot(row, int(candidates[0]))
-        else:
-            drop_rows.append(row)
-    if drop_rows:
-        tableau.t = np.delete(tableau.t, drop_rows, axis=0)
-        tableau.basis = [bi for r, bi in enumerate(tableau.basis) if r not in set(drop_rows)]
+    keep = []
+    for row in range(t.shape[0]):
+        if basis[row] >= first_artificial:
+            candidates = np.where(np.abs(t[row, :first_artificial]) > _PIVOT_TOL)[0]
+            if candidates.size == 0:
+                continue
+            _pivot(t, basis, row, int(candidates[0]))
+        keep.append(row)
+    t = np.delete(t[keep], np.s_[first_artificial:-1], axis=1)
+    return t, [basis[row] for row in keep]
 
 
 def _feasible(lp: LinearProgram, x: np.ndarray) -> bool:

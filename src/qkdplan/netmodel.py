@@ -129,30 +129,29 @@ class QkdGraph:
             kb = self.node(link.b).kind
             counts[link.a][kb] = counts[link.a].get(kb, 0) + 1
             counts[link.b][ka] = counts[link.b].get(ka, 0) + 1
+        messages = []
         for node in self.nodes:
             c = counts[node.id]
             if node.kind == NodeKind.GROUND_STATION:
                 if c.get(NodeKind.GEO_SATELLITE, 0) > 1:
-                    warnings.warn(
+                    messages.append(
                         f"ground station {node.id!r} has {c[NodeKind.GEO_SATELLITE]} GEO links "
-                        "(1 transceiver expected)",
-                        stacklevel=3,
+                        "(1 transceiver expected)"
                     )
                 if c.get(NodeKind.LEO_SATELLITE, 0) > 2:
-                    warnings.warn(
+                    messages.append(
                         f"ground station {node.id!r} has {c[NodeKind.LEO_SATELLITE]} LEO links "
-                        "(2 transceivers expected)",
-                        stacklevel=3,
+                        "(2 transceivers expected)"
                     )
             elif node.kind == NodeKind.LEO_SATELLITE:
                 if c.get(NodeKind.LEO_SATELLITE, 0) + c.get(NodeKind.GEO_SATELLITE, 0) > 2:
-                    warnings.warn(
-                        f"LEO {node.id!r} has more than 2 inter-satellite links", stacklevel=3
-                    )
+                    messages.append(f"LEO {node.id!r} has more than 2 inter-satellite links")
                 if c.get(NodeKind.GROUND_STATION, 0) > 2:
-                    warnings.warn(
-                        f"LEO {node.id!r} has more than 2 ground links", stacklevel=3
-                    )
+                    messages.append(f"LEO {node.id!r} has more than 2 ground links")
+        for message in messages:
+            # Skip this method, __post_init__ and the generated __init__ so
+            # the warning names the code that built the graph.
+            warnings.warn(message, stacklevel=4)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -181,7 +180,9 @@ def accumulate_pools(graph: QkdGraph, duration_s: float) -> QkdGraph:
         replace(link, pool_bits=link.pool_bits + math.floor(link.rate_bps * duration_s))
         for link in graph.links
     )
-    return replace(graph, links=new_links, elapsed_seconds=graph.elapsed_seconds + duration_s)
+    return QkdGraph(
+        nodes=graph.nodes, links=new_links, elapsed_seconds=graph.elapsed_seconds + duration_s
+    )
 
 
 class Request(NamedTuple):

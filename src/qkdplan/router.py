@@ -156,6 +156,14 @@ def _transit_allowed(graph: QkdGraph, node_id: str, endpoints: set[str], gs_rela
     return gs_relay
 
 
+def _flows_by_commodity(flows: dict[FlowKey, float]) -> dict[int, dict[DirectedEdge, float]]:
+    """Each commodity's flows keyed by directed edge, grouped in one pass in dict order."""
+    grouped: dict[int, dict[DirectedEdge, float]] = {}
+    for (i, edge), value in flows.items():
+        grouped.setdefault(i, {})[edge] = value
+    return grouped
+
+
 def build_lp(
     graph: QkdGraph,
     commodities: Sequence[Commodity],
@@ -397,8 +405,9 @@ def _floor_paths(
     """
     flows: dict[FlowKey, int] = {}
     demands = [0] * len(fractional.commodities)
+    by_commodity = _flows_by_commodity(fractional.flows)
     for i, commodity in enumerate(fractional.commodities):
-        mine = {edge: v for (ci, edge), v in fractional.flows.items() if ci == i}
+        mine = by_commodity.get(i, {})
         for path, weight in _decompose_paths(mine, commodity.source, commodity.sink):
             whole = int(math.floor(weight + _FLOOR_EPS))
             if whole <= 0:
@@ -424,7 +433,6 @@ def greedy_round(
     graph: QkdGraph,
     fractional: FlowSolution,
     *,
-    demand_caps: Optional[Sequence[Optional[int]]] = None,
     gs_relay: bool = True,
 ) -> FlowSolution:
     """Round a fractional flow to integers and greedily re-grow demands.
@@ -434,9 +442,9 @@ def greedy_round(
     the pools.  Stage 2 is progressive filling in whole keys: it repeatedly
     gives one more key to the commodity with the lowest fulfilled demand
     (ties by index) over its residual min-hop path, retiring the commodity
-    when no path is left or its cap is reached.  ``demand_caps`` carries
-    the requested amounts for fixed-demand routing; max-min routing passes
-    no caps.
+    when no path is left or its cap is reached.  A commodity's cap is its
+    ``demand_bits`` (the requested amount in fixed-demand routing); the
+    variable-demand commodities of max-min routing have none.
 
     That key-by-key sequence is a round-robin over the tied set T (the
     active commodities at the lowest demand, in index order), and stage 2
@@ -455,13 +463,10 @@ def greedy_round(
     if fractional.status is not LpStatus.OPTIMAL:
         return fractional
     commodities = fractional.commodities
-    k = len(commodities)
-    caps: list[Optional[int]] = list(demand_caps) if demand_caps is not None else [None] * k
-    if len(caps) != k:
-        raise ValueError(f"{len(caps)} caps for {k} commodities")
+    caps = [commodity.demand_bits for commodity in commodities]
     flows, demands, residual = _floor_paths(graph, fractional)
 
-    active = [i for i in range(k) if caps[i] is None or demands[i] < caps[i]]
+    active = [i for i, cap in enumerate(caps) if cap is None or demands[i] < cap]
     while active:
         level = min(demands[i] for i in active)
         tied = [i for i in active if demands[i] == level]
@@ -552,8 +557,7 @@ def route_mr(
         for src, dst, demand in requests
     ]
     fractional = solve_fractional(graph, commodities, "mr", edge_weights, gs_relay=gs_relay)
-    caps = [c.demand_bits for c in commodities]
-    return greedy_round(graph, fractional, demand_caps=caps, gs_relay=gs_relay)
+    return greedy_round(graph, fractional, gs_relay=gs_relay)
 
 
 def route_sequential_dijkstra(
@@ -630,10 +634,16 @@ def verify_solution(
     violations: list[str] = []
 
     used: dict[tuple[str, str], float] = {link.endpoints: 0.0 for link in graph.links}
+    # Each commodity's net outflow per node, counting flows on links that do
+    # not exist as long as both of their ends are nodes.
+    net = [{node.id: 0.0 for node in graph.nodes} for _ in commodities]
     for (i, (a, b)), value in solution.flows.items():
         if not 0 <= i < len(commodities):
             violations.append(f"flow references unknown commodity index {i}")
             continue
+        if a in net[i] and b in net[i]:
+            net[i][a] += value
+            net[i][b] -= value
         pair = canonical_pair(a, b)
         if pair not in used:
             violations.append(f"flow on nonexistent link {a}-{b} (commodity {i})")
@@ -659,12 +669,6 @@ def verify_solution(
             )
 
     for i, commodity in enumerate(commodities):
-        net: dict[str, float] = {node.id: 0.0 for node in graph.nodes}
-        for (ci, (a, b)), value in solution.flows.items():
-            if ci != i or a not in net or b not in net:
-                continue
-            net[a] += value
-            net[b] -= value
         demand = solution.demands[i] if i < len(solution.demands) else 0.0
         for node in graph.nodes:
             expected = 0.0
@@ -672,10 +676,10 @@ def verify_solution(
                 expected = demand
             elif node.id == commodity.sink:
                 expected = -demand
-            if abs(net[node.id] - expected) > _VERIFY_TOL * max(1.0, abs(demand)):
+            if abs(net[i][node.id] - expected) > _VERIFY_TOL * max(1.0, abs(demand)):
                 violations.append(
                     f"conservation violated at node {node.id} for commodity {i} "
-                    f"({commodity.source}->{commodity.sink}): net {net[node.id]}, "
+                    f"({commodity.source}->{commodity.sink}): net {net[i][node.id]}, "
                     f"expected {expected}"
                 )
         requested = commodity.demand_bits
@@ -721,19 +725,12 @@ def solution_to_csv(solution: FlowSolution) -> str:
     )
     writer.writerow([])
     writer.writerow(["commodity_src", "commodity_dst", "edge_from", "edge_to", "bits"])
+    by_commodity = _flows_by_commodity(solution.flows)
     for i, commodity in enumerate(solution.commodities):
-        rows = sorted(
-            (edge for (ci, edge) in solution.flows if ci == i),
-        )
-        for edge in rows:
+        mine = by_commodity.get(i, {})
+        for edge in sorted(mine):
             writer.writerow(
-                [
-                    commodity.source,
-                    commodity.sink,
-                    edge[0],
-                    edge[1],
-                    _format_number(solution.flows[(i, edge)]),
-                ]
+                [commodity.source, commodity.sink, edge[0], edge[1], _format_number(mine[edge])]
             )
     writer.writerow([])
     writer.writerow(["pair", "fulfilled_demand", "consumed", "consumption_rate"])

@@ -8,11 +8,13 @@ which shares the router's stage 1 and path search so that only the
 batching of stage 2 is under test.  The
 reference models check the planner's assumptions from first principles:
 drawing bits from one link's pool, trusted-relay forwarding with
-hop-by-hop XOR, and gains/QBERs summed over photon numbers.
+hop-by-hop XOR, and gains/QBERs summed over photon numbers from the
+per-photon-number statistics, yields and error rates.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import warnings
 from dataclasses import replace
@@ -24,8 +26,6 @@ from qkdplan.decoy import (
     DEFAULT_PROTOCOL,
     DecoyProtocolParams,
     DegenerateChannelError,
-    poisson_pn,
-    yield_n,
 )
 from qkdplan.lp import LinearProgram, LpStatus
 from qkdplan.netmodel import Link, Node, NodeKind, QkdGraph, canonical_pair
@@ -233,17 +233,17 @@ def mr_integral_optimum(
 def greedy_round_one_key(
     graph: QkdGraph,
     fractional: FlowSolution,
-    demand_caps: Optional[Sequence[Optional[int]]] = None,
     gs_relay: bool = True,
 ) -> tuple[dict[FlowKey, int], tuple[float, ...]]:
     """Stage 2 of ``greedy_round`` literally, one key per step.
 
     Reuses the router's stage 1 and residual path search and returns the
     positive flows and the demands; ``greedy_round``, which applies whole
-    rounds at once, must give exactly these.
+    rounds at once, must give exactly these.  Each commodity's
+    ``demand_bits`` caps its demand.
     """
     commodities = fractional.commodities
-    caps = list(demand_caps) if demand_caps is not None else [None] * len(commodities)
+    caps = [commodity.demand_bits for commodity in commodities]
     flows, demands, residual = _floor_paths(graph, fractional)
     active = [i for i, cap in enumerate(caps) if cap is None or demands[i] < cap]
     while active:
@@ -443,6 +443,58 @@ def relay_chain_demo(
         transmitted.append(sent)
         carried = _xor_bits(sent, lk)  # receiving node recovers the key
     return RelayTrace(tuple(transmitted), carried, len(key) * hops)
+
+
+def poisson_pn(n: int, mu: float) -> float:
+    """Probability that a phase-randomized pulse of intensity mu has n photons."""
+    if n < 0 or n != int(n):
+        raise ValueError(f"photon number must be a nonnegative integer, got {n}")
+    if mu < 0.0:
+        raise ValueError(f"intensity must be nonnegative, got {mu}")
+    n = int(n)
+    if mu == 0.0:
+        return 1.0 if n == 0 else 0.0
+    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+
+
+def _photon_arrival(n: int, delta: float) -> float:
+    # Probability that at least one of n photons survives the channel,
+    # 1 - (1 - delta)^n, written to avoid cancellation at small delta.
+    if n == 0:
+        return 0.0
+    if delta == 1.0:
+        return 1.0
+    return -math.expm1(n * math.log1p(-delta))
+
+
+def yield_n(n: int, delta: float, y0: float) -> float:
+    """Probability of a conclusive detection for an n-photon pulse.
+
+    Uses the exact inclusion-exclusion form Yn = Y0 + dn - Y0*dn, which
+    stays within [0, 1] for all inputs.
+    """
+    if n < 0 or n != int(n):
+        raise ValueError(f"photon number must be a nonnegative integer, got {n}")
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"transmittance must be in [0, 1], got {delta}")
+    if not 0.0 <= y0 <= 1.0:
+        raise ValueError(f"background yield must be in [0, 1], got {y0}")
+    dn = _photon_arrival(int(n), delta)
+    return min(y0 + dn - y0 * dn, 1.0)  # clamp a possible 1-ulp overshoot
+
+
+def error_rate_n(n: int, delta: float, y0: float) -> float:
+    """Error rate of n-photon signals under the dark-count-only model.
+
+    Errors come exclusively from background clicks, half of which land on
+    the wrong detector, so e_n = Y0 / (2 Yn) and e_0 = 1/2 by construction.
+    """
+    yn = yield_n(n, delta, y0)
+    if yn == 0.0:
+        raise DegenerateChannelError(
+            f"yield of {n}-photon pulses is zero; error rate undefined"
+        )
+    return y0 / (2.0 * yn)
 
 
 # Photon numbers beyond this contribute < 1e-40 for intensities <= 2.

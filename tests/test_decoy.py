@@ -12,17 +12,14 @@ from qkdplan.decoy import (
     DecoyProtocolParams,
     DegenerateChannelError,
     binary_entropy,
-    error_rate_n,
     forward_key_rate,
     forward_observables,
     gain_and_qber,
-    poisson_pn,
     secret_key_rate,
     single_photon_bounds,
-    yield_n,
 )
 
-from oracles import gain_and_qber_series
+from oracles import error_rate_n, gain_and_qber_series, poisson_pn, yield_n
 
 # Gains and QBERs of the three reference link classes as commonly tabulated
 # (QBERs consistent with E*Q = e0*Y0 at Y0 = 1.7e-6).

@@ -194,7 +194,7 @@ class TestGraphValidation:
             )
 
     def test_leo_with_three_ground_links_warns(self):
-        with pytest.warns(UserWarning, match="ground links"):
+        with pytest.warns(UserWarning, match="ground links") as record:
             QkdGraph(
                 nodes=(
                     Node("a", NodeKind.GROUND_STATION),
@@ -204,6 +204,9 @@ class TestGraphValidation:
                 ),
                 links=(Link("a", "s", 1.0), Link("b", "s", 1.0), Link("c", "s", 1.0)),
             )
+        # the warning names the code that built the graph, not the
+        # dataclass-generated __init__ ("<string>")
+        assert [w.filename for w in record] == [__file__]
 
     def test_links_sorted_canonically(self):
         graph = line_graph()

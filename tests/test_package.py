@@ -12,9 +12,13 @@ TEST_ONLY = (
     "InsufficientKeysError",
     "RelayTrace",
     "SERIES_TERMS",
+    "_photon_arrival",
     "consume",
+    "error_rate_n",
     "gain_and_qber_series",
+    "poisson_pn",
     "relay_chain_demo",
+    "yield_n",
 )
 
 

@@ -1,4 +1,5 @@
 """Flow routing: LP encoding, rounding, planners, verification, CSV."""
+import dataclasses
 import random
 
 import pytest
@@ -200,7 +201,7 @@ class TestGreedyRound:
             demands=(5.0,),
             objective=10.0,
         )
-        rounded = greedy_round(graph, fractional, demand_caps=[5])
+        rounded = greedy_round(graph, fractional)
         assert rounded.demands == (5.0,)
 
     def test_rounding_never_decreases_floored_demand(self):
@@ -233,13 +234,12 @@ class TestGreedyRound:
             )
             # mr optima are mostly integral and leave nothing to top up, so
             # the caps also bound a top-up of the mmd flow
-            for fractional, demand_caps in ((mmd, None), (mmd, caps), (mr, caps)):
+            capped_mmd = dataclasses.replace(mmd, commodities=mr.commodities)
+            for fractional in (mmd, capped_mmd, mr):
                 if fractional.status is not LpStatus.OPTIMAL:
                     continue
-                rounded = greedy_round(
-                    graph, fractional, demand_caps=demand_caps, gs_relay=gs_relay
-                )
-                flows, demands = greedy_round_one_key(graph, fractional, demand_caps, gs_relay)
+                rounded = greedy_round(graph, fractional, gs_relay=gs_relay)
+                flows, demands = greedy_round_one_key(graph, fractional, gs_relay)
                 assert list(rounded.flows.items()) == list(flows.items()), f"case {case}"
                 assert rounded.demands == demands, f"case {case}"
 
@@ -489,6 +489,22 @@ class TestVerifySolution:
         )
         report = verify_solution(graph, commodities, bogus)
         assert any("nonexistent link" in v for v in report.violations)
+
+    def test_flow_on_nonexistent_link_counts_for_conservation(self):
+        # g1 and g2 are nodes without a link between them: the flow is
+        # reported once and still balances the delivered key at both ends
+        graph = line_pools()
+        commodities = (Commodity("g1", "g2"),)
+        bogus = FlowSolution(
+            kind="mmd",
+            status=LpStatus.OPTIMAL,
+            commodities=commodities,
+            flows={(0, ("g1", "g2")): 1},
+            demands=(1.0,),
+            objective=1.0,
+        )
+        report = verify_solution(graph, commodities, bogus)
+        assert report.violations == ("flow on nonexistent link g1-g2 (commodity 0)",)
 
 
 class TestCsvRoundTrip:
