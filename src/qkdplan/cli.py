@@ -12,8 +12,9 @@ Two subcommands:
 Exit codes: 0 success, 1 input error (including a report that cannot be
 written), 2 infeasible request set, 3 model-domain error (e.g. a
 near-field distance), 4 solver failure (the simplex hit its iteration
-limit or returned an infeasible point).  Timing goes to stderr so stdout
-stays byte-identical for identical inputs.
+limit or returned an infeasible point, or the plan is not integral or
+fails verification).  Timing goes to stderr so stdout stays
+byte-identical for identical inputs.
 """
 from __future__ import annotations
 
@@ -246,11 +247,11 @@ def _cmd_plan(args) -> int:
     started = time.perf_counter()
     try:
         scenario = _resolve_scenario(args.scenario)
-    except netmodel.ScenarioError as exc:
+        graph = netmodel.accumulate_pools(scenario.graph, scenario.window_seconds)
+    except ValueError as exc:  # ScenarioError, or a pool that is not finite
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    graph = netmodel.accumulate_pools(scenario.graph, scenario.window_seconds)
     requests = [(r.src, r.dst, r.demand_bits) for r in scenario.requests]
     try:
         if args.objective == "mmd":
@@ -273,15 +274,17 @@ def _cmd_plan(args) -> int:
         return EXIT_INFEASIBLE
     if solution.status is not LpStatus.OPTIMAL:  # pragma: no cover - defensive
         print(f"error: solver returned {solution.status.value}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return EXIT_SOLVER_FAILURE
 
-    check = router.verify_solution(
+    violations = router.verify_solution(
         graph, solution.commodities, solution, gs_relay=scenario.gs_relay
-    )
-    if not check.ok:  # pragma: no cover - would be a planner bug
-        for violation in check.violations:
-            print(f"verification failed: {violation}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    ).violations
+    if not solution.integral:
+        violations += ("the plan has a fractional flow or demand",)
+    if violations:  # a planner fault
+        more = f" (+{len(violations) - 1} more)" if len(violations) > 1 else ""
+        print(f"error: verification failed: {violations[0]}{more}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
 
     report = RunReport(
         scenario_name=Path(args.scenario).name,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -74,8 +75,8 @@ class Link:
         first, second = canonical_pair(self.a, self.b)
         object.__setattr__(self, "a", first)
         object.__setattr__(self, "b", second)
-        if self.rate_bps < 0.0:
-            raise ValueError(f"link rate must be >= 0, got {self.rate_bps}")
+        if not 0.0 <= self.rate_bps < math.inf:
+            raise ValueError(f"link rate must be finite and >= 0, got {self.rate_bps}")
         if self.pool_bits < 0 or self.pool_bits != int(self.pool_bits):
             raise ValueError(f"pool must be a nonnegative integer bit count, got {self.pool_bits}")
 
@@ -102,10 +103,14 @@ class QkdGraph:
                 raise ValueError(f"duplicate node id {node.id!r}")
             by_id[node.id] = node
         seen = set()
+        # Links come sorted by endpoints, so every neighbour list is built sorted.
+        neighbours: dict[str, list[str]] = {node_id: [] for node_id in by_id}
         for link in links:
             for end in link.endpoints:
                 if end not in by_id:
                     raise ValueError(f"link {link.endpoints} references unknown node {end!r}")
+            neighbours[link.a].append(link.b)
+            neighbours[link.b].append(link.a)
             if link.endpoints in seen:
                 raise ValueError(f"duplicate link between {link.a!r} and {link.b!r}")
             seen.add(link.endpoints)
@@ -118,6 +123,7 @@ class QkdGraph:
                 )
         object.__setattr__(self, "_nodes_by_id", by_id)
         object.__setattr__(self, "_links_by_pair", {l.endpoints: l for l in links})
+        object.__setattr__(self, "_neighbours", neighbours)
         self._warn_degree_limits()
 
     def _warn_degree_limits(self) -> None:
@@ -176,10 +182,12 @@ def accumulate_pools(graph: QkdGraph, duration_s: float) -> QkdGraph:
     """Grow every pool by floor(rate * duration); returns a new snapshot."""
     if duration_s < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration_s}")
-    new_links = tuple(
-        replace(link, pool_bits=link.pool_bits + math.floor(link.rate_bps * duration_s))
-        for link in graph.links
-    )
+    new_links = []
+    for link in graph.links:
+        grown = link.rate_bps * duration_s
+        if not math.isfinite(grown):
+            raise ValueError(f"link {link.a}-{link.b}: a pool of {grown} bits is not finite")
+        new_links.append(replace(link, pool_bits=link.pool_bits + math.floor(grown)))
     return QkdGraph(
         nodes=graph.nodes, links=new_links, elapsed_seconds=graph.elapsed_seconds + duration_s
     )
@@ -206,6 +214,12 @@ def _require(condition: bool, where: str, message: str) -> None:
         raise ScenarioError(f"{where}: {message}")
 
 
+def _is_number(value) -> bool:
+    # JSON true/false load as bools, and Infinity and NaN as floats: neither counts.
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
 def _check_id(value, where: str) -> str:
     _require(isinstance(value, str), where, f"expected a string id, got {value!r}")
     _require(bool(_ID_PATTERN.match(value)), where, f"id {value!r} must match [A-Za-z0-9_-]+")
@@ -229,8 +243,8 @@ def _parse_link(entry: dict, where: str) -> Link:
         )
         rate = entry["rate_bps"]
         _require(
-            isinstance(rate, (int, float)) and rate >= 0, f"{where}.rate_bps",
-            f"expected a number >= 0, got {rate!r}",
+            _is_number(rate) and rate >= 0, f"{where}.rate_bps",
+            f"expected a finite number >= 0, got {rate!r}",
         )
         return Link(a=a, b=b, rate_bps=float(rate))
     _require("preset" in entry, where, "link needs rate_bps or preset+distance_m")
@@ -242,9 +256,9 @@ def _parse_link(entry: dict, where: str) -> Link:
     )
     distance = entry.get("distance_m")
     _require(
-        distance is None or (isinstance(distance, (int, float)) and distance > 0),
+        distance is None or (_is_number(distance) and distance > 0),
         f"{where}.distance_m",
-        f"expected a positive number, got {distance!r}",
+        f"expected a finite positive number, got {distance!r}",
     )
     params = linkbudget.preset_link(preset, distance_m=distance)
     try:
@@ -305,9 +319,9 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
 
     elapsed = raw.get("elapsed_seconds", 0)
     _require(
-        isinstance(elapsed, (int, float)) and elapsed >= 0,
+        _is_number(elapsed) and elapsed >= 0,
         "scenario.elapsed_seconds",
-        f"expected a number >= 0, got {elapsed!r}",
+        f"expected a finite number >= 0, got {elapsed!r}",
     )
 
     requests = []
@@ -323,9 +337,9 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         dst = _check_id(entry["dst"], f"{where}.dst")
         demand = entry["demand_bits"]
         _require(
-            isinstance(demand, int) and not isinstance(demand, bool) and demand >= 0,
+            isinstance(demand, int) and _is_number(demand) and demand >= 0,
             f"{where}.demand_bits",
-            f"expected an integer >= 0, got {demand!r}",
+            f"expected an integer from 0 to {sys.float_info.max:.3g}, got {demand!r}",
         )
         requests.append(Request(src=src, dst=dst, demand_bits=demand))
 

@@ -9,12 +9,14 @@ link key pools and provides three planners:
 * :func:`route_sequential_dijkstra` is the order-dependent baseline that
   serves requests one at a time over min-hop paths with residual pools.
 
-Fractional LP solutions are made integral by :func:`greedy_round`: floor a
-path decomposition of each commodity's flow, then top the demands up by
+Every path the module takes is the lexicographically smallest min-hop
+path over the links still usable (:func:`_min_hop_path`).  Fractional LP
+solutions are made integral by :func:`greedy_round`: floor a path
+decomposition of each commodity's flow, then top the demands up by
 progressive filling.  The commodities tied at the lowest fulfilled demand
-each ship one more key, in index order, along the residual path that
-consumes the fewest pool bits; this round-robin repeats until no commodity
-can grow, and every stretch of identical rounds is applied in one step.
+each ship one more key, in index order, along their residual paths until
+no commodity can grow; every stretch of identical rounds is applied in
+one step.  The baseline runs the same filling for one request at a time.
 
 Every undirected link contributes two directed flow variables to each
 commodity that may use both of its ends (with ``gs_relay`` off, ground
@@ -30,7 +32,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -149,11 +151,7 @@ def _check_commodities(graph: QkdGraph, commodities: Sequence[Commodity]) -> Non
 
 
 def _transit_allowed(graph: QkdGraph, node_id: str, endpoints: set[str], gs_relay: bool) -> bool:
-    if node_id in endpoints:
-        return True
-    if graph.node(node_id).kind != NodeKind.GROUND_STATION:
-        return True
-    return gs_relay
+    return gs_relay or node_id in endpoints or graph.node(node_id).kind != NodeKind.GROUND_STATION
 
 
 def _flows_by_commodity(flows: dict[FlowKey, float]) -> dict[int, dict[DirectedEdge, float]]:
@@ -303,92 +301,61 @@ def solve_fractional(
     return _decode(objective, commodities, columns, solve(lp))
 
 
-# --- residual-graph path search -------------------------------------------
+# --- min-hop path search ---------------------------------------------------
 
-def _shortest_residual_path(
+def _min_hop_path(
     graph: QkdGraph,
-    residual: dict[tuple[str, str], int],
+    usable: Callable[[str, str], bool],
     source: str,
     sink: str,
-    gs_relay: bool,
+    gs_relay: bool = True,
 ) -> Optional[list[str]]:
-    """Min-hop path from source to sink over links with residual pool >= 1.
+    """The lexicographically smallest min-hop source->sink path, or None.
 
-    Deterministic: among equal-length paths the lexicographically smallest
-    node sequence is returned.  Ground stations other than the endpoints
-    are traversed only when ``gs_relay`` allows it.
+    The link u-w may be taken from u when ``usable(u, w)``.  A breadth-first
+    search from the source visits each node's neighbours in sorted order
+    and keeps the first parent it finds, so every node's parent chain is
+    its lexicographically smallest min-hop path.  A node that may not relay
+    (a foreign ground station with ``gs_relay`` off) can end a path but is
+    never expanded.
     """
     endpoints = {source, sink}
-    adjacency: dict[str, list[str]] = {}
-    for (a, b), left in residual.items():
-        if left >= 1:
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-
-    distance = {sink: 0}
-    frontier = [sink]
-    while frontier:
+    parents: dict[str, Optional[str]] = {source: None}
+    frontier = [source]
+    while frontier and sink not in parents:
         next_frontier = []
         for v in frontier:
-            if v != sink and not _transit_allowed(graph, v, endpoints, gs_relay):
-                continue  # may terminate a path here but not extend through
-            for w in adjacency.get(v, ()):
-                if w not in distance:
-                    distance[w] = distance[v] + 1
+            if not _transit_allowed(graph, v, endpoints, gs_relay):
+                continue
+            for w in graph._neighbours[v]:
+                if w not in parents and usable(v, w):
+                    parents[w] = v
                     next_frontier.append(w)
         frontier = next_frontier
-    if source not in distance:
+    if sink not in parents:
         return None
-
-    path = [source]
-    current = source
-    while current != sink:
-        step = None
-        for w in sorted(adjacency.get(current, ())):
-            if distance.get(w, -1) != distance[current] - 1:
-                continue
-            if w != sink and not _transit_allowed(graph, w, endpoints, gs_relay):
-                continue
-            step = w
-            break
-        assert step is not None, "BFS distance labels admit a next hop"
-        path.append(step)
-        current = step
+    path = [sink]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    path.reverse()
     return path
 
 
 # --- greedy rounding --------------------------------------------------------
 
 def _decompose_paths(
-    flows: dict[DirectedEdge, float], source: str, sink: str
+    graph: QkdGraph, flows: dict[DirectedEdge, float], source: str, sink: str
 ) -> list[tuple[list[str], float]]:
     """Split one commodity's edge flow into source->sink paths (cycles dropped)."""
     work = {edge: value for edge, value in flows.items() if value > _FLOW_EPS}
     paths = []
     while True:
-        # BFS over the positive-flow digraph, each node's successors in sorted order.
-        successors: dict[str, list[str]] = {}
-        for u, w in sorted(work):
-            successors.setdefault(u, []).append(w)
-        parents = {source: None}
-        frontier = [source]
-        while frontier and sink not in parents:
-            next_frontier = []
-            for v in frontier:
-                for w in successors.get(v, ()):
-                    if w not in parents:
-                        parents[w] = v
-                        next_frontier.append(w)
-            frontier = next_frontier
-        if sink not in parents:
+        path = _min_hop_path(graph, lambda u, w: (u, w) in work, source, sink)
+        if path is None:
             return paths
-        path = [sink]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]])
-        path.reverse()
-        bottleneck = min(work[(path[i], path[i + 1])] for i in range(len(path) - 1))
-        for i in range(len(path) - 1):
-            edge = (path[i], path[i + 1])
+        edges = list(zip(path, path[1:]))
+        bottleneck = min(work[edge] for edge in edges)
+        for edge in edges:
             work[edge] -= bottleneck
             if work[edge] <= _FLOW_EPS:
                 del work[edge]
@@ -408,7 +375,7 @@ def _floor_paths(
     by_commodity = _flows_by_commodity(fractional.flows)
     for i, commodity in enumerate(fractional.commodities):
         mine = by_commodity.get(i, {})
-        for path, weight in _decompose_paths(mine, commodity.source, commodity.sink):
+        for path, weight in _decompose_paths(graph, mine, commodity.source, commodity.sink):
             whole = int(math.floor(weight + _FLOOR_EPS))
             if whole <= 0:
                 continue
@@ -416,39 +383,34 @@ def _floor_paths(
             for a, b in zip(path, path[1:]):
                 flows[(i, (a, b))] = flows.get((i, (a, b)), 0) + whole
 
-    used: dict[tuple[str, str], int] = {}
+    residual = {link.endpoints: link.pool_bits for link in graph.links}
     for (_, (a, b)), v in flows.items():
-        pair = canonical_pair(a, b)
-        used[pair] = used.get(pair, 0) + v
-    residual: dict[tuple[str, str], int] = {}
-    for link in graph.links:
-        left = link.pool_bits - used.get(link.endpoints, 0)
-        if left < 0:  # pragma: no cover - flooring cannot overdraw
-            raise ArithmeticError(f"rounding overdrew link {link.a}-{link.b}")
-        residual[link.endpoints] = left
+        residual[canonical_pair(a, b)] -= v
+    overdrawn = [pair for pair, left in residual.items() if left < 0]
+    if overdrawn:  # pragma: no cover - flooring cannot overdraw
+        raise ArithmeticError(f"rounding overdrew link {'-'.join(overdrawn[0])}")
     return flows, demands, residual
 
 
-def greedy_round(
+def _fill(
     graph: QkdGraph,
-    fractional: FlowSolution,
-    *,
-    gs_relay: bool = True,
-) -> FlowSolution:
-    """Round a fractional flow to integers and greedily re-grow demands.
+    commodities: tuple[Commodity, ...],
+    indices: Iterable[int],
+    flows: dict[FlowKey, int],
+    demands: list[int],
+    residual: dict[tuple[str, str], int],
+    gs_relay: bool,
+) -> None:
+    """Progressive filling in whole keys over the commodities in ``indices``.
 
-    Stage 1 floors a path decomposition of every commodity (flooring whole
-    paths keeps conservation intact) and subtracts the integral flows from
-    the pools.  Stage 2 is progressive filling in whole keys: it repeatedly
-    gives one more key to the commodity with the lowest fulfilled demand
-    (ties by index) over its residual min-hop path, retiring the commodity
-    when no path is left or its cap is reached.  A commodity's cap is its
-    ``demand_bits`` (the requested amount in fixed-demand routing); the
-    variable-demand commodities of max-min routing have none.
+    Repeatedly gives one more key to the commodity with the lowest
+    fulfilled demand (ties by index) over its residual min-hop path,
+    retiring the commodity when no path is left or its ``demand_bits`` cap
+    is reached.  Updates ``flows``, ``demands`` and ``residual`` in place.
 
     That key-by-key sequence is a round-robin over the tied set T (the
-    active commodities at the lowest demand, in index order), and stage 2
-    applies r of its rounds at once: r is the least over T's links of
+    active commodities at the lowest demand, in index order), and r of its
+    rounds are applied at once: r is the least over T's links of
     residual // (number of T's paths on the link), capped by the gap to
     the next demand level and by T's cap headroom; when r is 0 only T's
     first commodity ships a key.  The result is the same as key by key:
@@ -460,21 +422,18 @@ def greedy_round(
     commodity above T's level, so none of them is picked; and the index
     order within a round is the order of the lowest-(demand, index) pick.
     """
-    if fractional.status is not LpStatus.OPTIMAL:
-        return fractional
-    commodities = fractional.commodities
     caps = [commodity.demand_bits for commodity in commodities]
-    flows, demands, residual = _floor_paths(graph, fractional)
 
-    active = [i for i, cap in enumerate(caps) if cap is None or demands[i] < cap]
+    def usable(u: str, w: str) -> bool:
+        return residual[canonical_pair(u, w)] >= 1
+
+    active = [i for i in indices if caps[i] is None or demands[i] < caps[i]]
     while active:
         level = min(demands[i] for i in active)
         tied = [i for i in active if demands[i] == level]
         paths: dict[int, list[str]] = {}
         for i in tied:
-            path = _shortest_residual_path(
-                graph, residual, commodities[i].source, commodities[i].sink, gs_relay
-            )
+            path = _min_hop_path(graph, usable, *commodities[i].pair, gs_relay)
             if path is None:
                 active.remove(i)
             else:
@@ -504,6 +463,27 @@ def greedy_round(
                 residual[canonical_pair(a, b)] -= rounds
             if caps[i] is not None and demands[i] >= caps[i]:
                 active.remove(i)
+
+
+def greedy_round(
+    graph: QkdGraph,
+    fractional: FlowSolution,
+    *,
+    gs_relay: bool = True,
+) -> FlowSolution:
+    """Round a fractional flow to integers and greedily re-grow demands.
+
+    Stage 1 floors a path decomposition of every commodity (flooring whole
+    paths keeps conservation intact) and subtracts the integral flows from
+    the pools.  Stage 2 is the progressive filling of :func:`_fill` over all
+    commodities, each capped by its ``demand_bits`` (the requested amount
+    in fixed-demand routing; max-min commodities have none).
+    """
+    if fractional.status is not LpStatus.OPTIMAL:
+        return fractional
+    commodities = fractional.commodities
+    flows, demands, residual = _floor_paths(graph, fractional)
+    _fill(graph, commodities, range(len(commodities)), flows, demands, residual, gs_relay)
 
     if fractional.kind == "mmd":
         objective = float(min(demands)) if demands else 0.0
@@ -568,42 +548,28 @@ def route_sequential_dijkstra(
 ) -> FlowSolution:
     """Serve requests one at a time over min-hop paths (the baseline).
 
-    Each request repeatedly takes the lexicographically smallest min-hop
-    path with positive residual pools and pushes its bottleneck, capped by
-    the remaining demand, until the demand is met or the request is cut
-    off.  Pools consumed by one request are gone before the next starts,
-    so the outcome depends on the request order.
+    Each request in turn runs rounding stage 2 (:func:`_fill`) alone, on
+    the pools earlier requests left: it pushes its residual path's
+    bottleneck, capped by the remaining demand, until the demand is met or
+    no path is left.  So the outcome depends on the request order.
     """
-    commodities = [
+    commodities = tuple(
         Commodity(source=src, sink=dst, demand_bits=int(demand))
         for src, dst, demand in requests
-    ]
+    )
     _check_commodities(graph, commodities)
     residual = {link.endpoints: link.pool_bits for link in graph.links}
     flows: dict[FlowKey, int] = {}
-    fulfilled = []
-    for i, commodity in enumerate(commodities):
-        remaining = commodity.demand_bits
-        while remaining > 0:
-            path = _shortest_residual_path(
-                graph, residual, commodity.source, commodity.sink, gs_relay
-            )
-            if path is None:
-                break
-            bottleneck = min(residual[canonical_pair(a, b)] for a, b in zip(path, path[1:]))
-            push = min(bottleneck, remaining)
-            for a, b in zip(path, path[1:]):
-                flows[(i, (a, b))] = flows.get((i, (a, b)), 0) + push
-                residual[canonical_pair(a, b)] -= push
-            remaining -= push
-        fulfilled.append(commodity.demand_bits - remaining)
+    demands = [0] * len(commodities)
+    for i in range(len(commodities)):
+        _fill(graph, commodities, [i], flows, demands, residual, gs_relay)
     return FlowSolution(
         kind="dijkstra",
         status=LpStatus.OPTIMAL,
-        commodities=tuple(commodities),
+        commodities=commodities,
         flows=flows,
-        demands=tuple(float(d) for d in fulfilled),
-        objective=float(sum(fulfilled)),
+        demands=tuple(float(d) for d in demands),
+        objective=float(sum(demands)),
     )
 
 

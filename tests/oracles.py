@@ -2,10 +2,12 @@
 
 Nothing here reuses the package's LP or routing machinery: max-flow values
 come from cut enumeration, integral optima from exhaustive path-flow
-search, and fractional LP references from scipy's HiGHS solver.  The one
-exception is the key-by-key reference for greedy rounding's stage 2,
-which shares the router's stage 1 and path search so that only the
-batching of stage 2 is under test.  The
+search, and fractional LP references from scipy's HiGHS solver.  The
+exceptions are the key-by-key reference for greedy rounding's stage 2
+and the search-and-push reference for the sequential baseline: they
+share the router's min-hop search (itself checked against
+``simple_paths``), and the first also its stage 1, so that only the
+filling loop is under test.  The
 reference models check the planner's assumptions from first principles:
 drawing bits from one link's pool, trusted-relay forwarding with
 hop-by-hop XOR, and gains/QBERs summed over photon numbers from the
@@ -34,7 +36,7 @@ from qkdplan.router import (
     FlowKey,
     FlowSolution,
     _floor_paths,
-    _shortest_residual_path,
+    _min_hop_path,
 )
 
 # --- graph helpers -----------------------------------------------------------
@@ -227,7 +229,16 @@ def mr_integral_optimum(
     return best[0]
 
 
-# --- key-by-key rounding reference ----------------------------------------------
+# --- filling-loop references ---------------------------------------------------
+
+
+def _residual_path(
+    graph: QkdGraph, residual: dict[tuple[str, str], int], source: str, sink: str, gs_relay: bool
+) -> Optional[list[str]]:
+    """The router's min-hop path over the links whose residual pool is >= 1."""
+    return _min_hop_path(
+        graph, lambda u, w: residual[canonical_pair(u, w)] >= 1, source, sink, gs_relay
+    )
 
 
 def greedy_round_one_key(
@@ -248,9 +259,7 @@ def greedy_round_one_key(
     active = [i for i, cap in enumerate(caps) if cap is None or demands[i] < cap]
     while active:
         i = min(active, key=lambda idx: (demands[idx], idx))
-        path = _shortest_residual_path(
-            graph, residual, commodities[i].source, commodities[i].sink, gs_relay
-        )
+        path = _residual_path(graph, residual, *commodities[i].pair, gs_relay)
         if path is None:
             active.remove(i)
             continue
@@ -261,6 +270,49 @@ def greedy_round_one_key(
         if caps[i] is not None and demands[i] >= caps[i]:
             active.remove(i)
     return {key: v for key, v in flows.items() if v > 0}, tuple(float(d) for d in demands)
+
+
+def sequential_dijkstra_push(
+    graph: QkdGraph,
+    requests: Sequence[tuple[str, str, int]],
+    gs_relay: bool = True,
+) -> FlowSolution:
+    """The sequential baseline as its own search-and-push loop.
+
+    Each request in turn takes its residual min-hop path and pushes the
+    path's bottleneck, capped by the remaining demand, until the demand is
+    met or no path is left; ``route_sequential_dijkstra``, which runs the
+    rounding's progressive filling one request at a time, must give
+    exactly this solution.
+    """
+    commodities = [
+        Commodity(source=src, sink=dst, demand_bits=int(demand))
+        for src, dst, demand in requests
+    ]
+    residual = {link.endpoints: link.pool_bits for link in graph.links}
+    flows: dict[FlowKey, int] = {}
+    fulfilled = []
+    for i, commodity in enumerate(commodities):
+        remaining = commodity.demand_bits
+        while remaining > 0:
+            path = _residual_path(graph, residual, *commodity.pair, gs_relay)
+            if path is None:
+                break
+            bottleneck = min(residual[canonical_pair(a, b)] for a, b in zip(path, path[1:]))
+            push = min(bottleneck, remaining)
+            for a, b in zip(path, path[1:]):
+                flows[(i, (a, b))] = flows.get((i, (a, b)), 0) + push
+                residual[canonical_pair(a, b)] -= push
+            remaining -= push
+        fulfilled.append(commodity.demand_bits - remaining)
+    return FlowSolution(
+        kind="dijkstra",
+        status=LpStatus.OPTIMAL,
+        commodities=tuple(commodities),
+        flows=flows,
+        demands=tuple(float(d) for d in fulfilled),
+        objective=float(sum(fulfilled)),
+    )
 
 
 # --- scipy reference ----------------------------------------------------------

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from qkdplan import router
 from qkdplan.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
@@ -14,6 +15,7 @@ from qkdplan.cli import (
     bundled_scenarios,
     main,
 )
+from qkdplan.lp import LpStatus
 from qkdplan.router import solution_from_csv
 
 
@@ -145,6 +147,75 @@ class TestPlanCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: solver failed: {error}\n"
+
+    def test_verification_failure_exits_4(self, capsys, monkeypatch):
+        def overdrawn(graph, pairs, gs_relay):
+            commodities = tuple(router.Commodity(a, b) for a, b in pairs)
+            flows = {(0, ("g1", "s1")): 100, (0, ("s1", "g2")): 100}
+            return router.FlowSolution(
+                "mmd", LpStatus.OPTIMAL, commodities, flows, (100.0,), 100.0
+            )
+
+        monkeypatch.setattr(router, "route_mmd", overdrawn)
+        assert main(["plan", "micro-line", "--objective", "mmd"]) == EXIT_SOLVER_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: verification failed: capacity exceeded on link g1-s1: "
+            "100.0 used > 10 pooled (+1 more)\n"
+        )
+
+    def test_fractional_plan_exits_4(self, tmp_path, capsys, monkeypatch):
+        # three stations share one GEO's one-bit pools: half a key per pair
+        doc = {
+            "nodes": [{"id": n, "kind": "gs"} for n in ("a", "b", "c")]
+            + [{"id": "geo", "kind": "geo"}],
+            "links": [{"a": n, "b": "geo", "rate_bps": 1} for n in ("a", "b", "c")],
+            "elapsed_seconds": 1,
+        }
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(doc))
+
+        def unrounded(graph, pairs, gs_relay):
+            commodities = [router.Commodity(a, b) for a, b in pairs]
+            return router.solve_fractional(graph, commodities, "mmd", gs_relay=gs_relay)
+
+        monkeypatch.setattr(router, "route_mmd", unrounded)
+        assert main(["plan", str(path), "--objective", "mmd"]) == EXIT_SOLVER_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: verification failed: the plan has a fractional flow or demand\n"
+        )
+
+    @pytest.mark.parametrize(
+        "elapsed, rate, distance, fragment",
+        [
+            ("Infinity", "10", "1000e3", "elapsed_seconds"),
+            ("NaN", "10", "1000e3", "elapsed_seconds"),
+            ("true", "10", "1000e3", "elapsed_seconds"),
+            ("10", "1e308", "1000e3", "not finite"),
+            ("10", "Infinity", "1000e3", "rate_bps"),
+            ("10", "true", "1000e3", "rate_bps"),
+            ("10", "10", "Infinity", "distance_m"),
+            ("10", "10", "true", "distance_m"),
+        ],
+    )
+    def test_bad_numbers_exit_1(self, tmp_path, capsys, elapsed, rate, distance, fragment):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"nodes": [{"id": "g1", "kind": "gs"}, {"id": "s1", "kind": "leo"},'
+            ' {"id": "g2", "kind": "gs"}],'
+            f' "links": [{{"a": "g1", "b": "s1", "rate_bps": {rate}}},'
+            f' {{"a": "s1", "b": "g2", "preset": "leo-gs", "distance_m": {distance}}}],'
+            f' "elapsed_seconds": {elapsed}}}'
+        )
+        assert main(["plan", str(path), "--objective", "mmd"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert fragment in captured.err
 
     def test_timing_goes_to_stderr(self, capsys):
         assert main(["plan", "micro-line", "--objective", "mmd"]) == EXIT_OK

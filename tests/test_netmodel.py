@@ -57,6 +57,13 @@ class TestAccumulate:
         with pytest.raises(ValueError):
             accumulate_pools(line_graph(), -1.0)
 
+    @pytest.mark.parametrize(
+        "rate, duration", [(1e308, 10.0), (1.0, float("inf")), (1.0, float("nan"))]
+    )
+    def test_non_finite_pool_rejected(self, rate, duration):
+        with pytest.raises(ValueError, match="g1-s1: a pool of .* bits is not finite"):
+            accumulate_pools(line_graph(rate_a=rate), duration)
+
     @given(
         st.floats(min_value=0.0, max_value=2000.0),
         st.floats(min_value=0.0, max_value=100.0),
@@ -178,6 +185,11 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="unknown node"):
             QkdGraph(nodes=(Node("a", NodeKind.GROUND_STATION),), links=(Link("a", "x", 1.0),))
 
+    @pytest.mark.parametrize("rate", [-1.0, float("inf"), float("nan")])
+    def test_rate_must_be_finite_and_nonnegative(self, rate):
+        with pytest.raises(ValueError, match="link rate"):
+            Link("g1", "s1", rate)
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             Link("a", "a", 1.0)
@@ -295,6 +307,10 @@ class TestScenarioLoading:
             (
                 {"links": [{"a": "g1", "b": "g2", "rate_bps": 5}]},
                 "direct link",
+            ),
+            (
+                {"requests": [{"src": "g1", "dst": "g2", "demand_bits": 10**400}]},
+                "requests[0].demand_bits",
             ),
         ],
     )

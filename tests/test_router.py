@@ -27,6 +27,8 @@ from oracles import (
     min_cut_single,
     mmd_cut_bound,
     random_instance,
+    sequential_dijkstra_push,
+    simple_paths,
 )
 
 
@@ -146,6 +148,33 @@ class TestBuildLp:
         assert len(relayed) == 2 * 2 * 4
 
 
+class TestMinHopPath:
+    @pytest.mark.parametrize("gs_relay", [True, False])
+    def test_matches_brute_force(self, gs_relay):
+        # the oracle: the lexicographically smallest among the shortest
+        # simple paths whose every hop is usable in its direction
+        rng = random.Random(6000 + gs_relay)
+        found_paths = 0
+        for case in range(300):
+            graph, pairs = random_instance(rng, max_commodities=6, max_paths=None)
+            hops = [hop for link in graph.links for hop in (link.endpoints, link.endpoints[::-1])]
+            usable = {hop for hop in hops if rng.random() < 0.7}
+            for a, b in pairs:
+                for source, sink in ((a, b), (b, a)):
+                    paths = [
+                        path
+                        for path in simple_paths(graph, source, sink, gs_relay)
+                        if all(hop in usable for hop in zip(path, path[1:]))
+                    ]
+                    expected = min(paths, key=lambda path: (len(path), path), default=None)
+                    found = router._min_hop_path(
+                        graph, lambda u, w: (u, w) in usable, source, sink, gs_relay
+                    )
+                    assert found == expected, f"case {case}: {source}->{sink}"
+                    found_paths += found is not None
+        assert found_paths > 300
+
+
 class TestGreedyRound:
     def test_saturated_integral_input_is_fixed_point(self):
         graph = line_pools(5, 5)
@@ -244,15 +273,16 @@ class TestGreedyRound:
                 assert rounded.demands == demands, f"case {case}"
 
     def test_fig3like_top_up_needs_few_path_searches(self, fig3like, monkeypatch):
-        # the top-up ships 144,300 keys here; one search per key takes seconds
+        # the top-up ships 144,300 keys here; one search per key takes
+        # seconds (the count includes stage 1's decomposition searches)
         calls = []
-        search = router._shortest_residual_path
+        search = router._min_hop_path
 
         def counting(*args, **kwargs):
             calls.append(args)
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(router, "_shortest_residual_path", counting)
+        monkeypatch.setattr(router, "_min_hop_path", counting)
         route_mmd(fig3like)
         assert len(calls) < 200
 
@@ -367,6 +397,22 @@ class TestSequentialDijkstra:
         requests = [(a, b, 600) for a, b in gs_pairs(fig3like)]
         solution = route_sequential_dijkstra(fig3like, requests)
         assert verify_solution(fig3like, solution.commodities, solution).ok
+
+    @pytest.mark.parametrize("gs_relay", [True, False])
+    @pytest.mark.parametrize("scale", [1, 7, 50, 300])
+    def test_equals_search_and_push_reference(self, scale, gs_relay):
+        rng = random.Random(5000 + scale)
+        for case in range(60):
+            graph, pairs = random_instance(rng, max_commodities=6, max_paths=None)
+            graph = scaled_pools(graph, scale)
+            requests = [(a, b, rng.randint(0, 8 * scale)) for a, b in pairs]
+            requests += [(b, a, rng.randint(0, 8 * scale)) for a, b in pairs if rng.random() < 0.3]
+            rng.shuffle(requests)
+            solution = route_sequential_dijkstra(graph, requests, gs_relay=gs_relay)
+            reference = sequential_dijkstra_push(graph, requests, gs_relay)
+            assert list(solution.flows.items()) == list(reference.flows.items()), f"case {case}"
+            assert solution.demands == reference.demands, f"case {case}"
+            assert solution.objective == reference.objective, f"case {case}"
 
 
 class TestGsRelayFlag:
