@@ -10,11 +10,12 @@ Two subcommands:
   solution independently, and emits a markdown or CSV report.
 
 Exit codes: 0 success, 1 input error (including a report that cannot be
-written), 2 infeasible request set, 3 model-domain error (e.g. a
-near-field distance), 4 solver failure (the simplex hit its iteration
-limit or returned an infeasible point, or the plan is not integral or
-fails verification).  Timing goes to stderr so stdout stays
-byte-identical for identical inputs.
+written and a non-finite ``rate`` number), 2 infeasible request set,
+3 model-domain error (e.g. a near-field distance, or ``rate`` numbers
+whose model overflows or divides by zero), 4 solver failure (the simplex
+hit its iteration limit or returned an infeasible point, or the plan is
+not integral or fails verification).  Timing goes to stderr so stdout
+stays byte-identical for identical inputs.
 """
 from __future__ import annotations
 
@@ -122,6 +123,9 @@ def _cmd_rate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ArithmeticError as exc:
+        print(f"error: rate model out of numeric range: {exc}", file=sys.stderr)
+        return EXIT_MODEL_DOMAIN
 
     rows = [
         ("preset", args.preset),

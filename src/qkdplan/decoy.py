@@ -12,7 +12,7 @@ only through the end-to-end single-photon detection probability ``delta``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 __all__ = [
@@ -57,6 +57,10 @@ class DecoyProtocolParams:
     pulse_rate_hz: float = 1e7
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if not 0.0 < self.nu < self.mu:
             raise ValueError(f"need 0 < nu < mu, got mu={self.mu}, nu={self.nu}")
         if not 0.0 < self.q <= 1.0:

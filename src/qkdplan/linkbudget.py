@@ -24,7 +24,7 @@ with the other classes) the modelled signal gain sits about 35% lower.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .decoy import DEFAULT_PROTOCOL, DecoyProtocolParams, forward_key_rate, forward_observables
@@ -66,6 +66,10 @@ class FsoLinkParams:
     fried_parameter_m: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         for name in ("wavelength_m", "tx_aperture_m", "rx_aperture_m", "distance_m"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

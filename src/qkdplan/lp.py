@@ -7,7 +7,10 @@ variables out with a feasibility objective, phase 2 optimizes the real
 cost.  Each phase pivots by Dantzig's rule for speed and, after a run of
 degenerate pivots, by Bland's rule for the rest of that phase, which
 guarantees termination on the highly degenerate flow LPs this package
-produces.
+produces.  A pivot updates only the rows whose pivot-column entry is
+nonzero, or the whole tableau when those are more than half of it: on
+the sparse flow LPs most rows have a zero there, and for them the full
+update would subtract exact zeros.
 
 Everything is deterministic: identical inputs take identical pivot
 sequences and return identical solutions.
@@ -181,11 +184,24 @@ def solve(lp: LinearProgram) -> LpSolution:
 
 
 def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    """Make column col basic in row, in place."""
+    """Make column col basic in row, in place.
+
+    A row whose entry in column col is zero would have zero times the
+    (finite) pivot row subtracted, which changes none of its values (at
+    most the sign of a zero), so only the other rows need the update.  Gathering
+    and scattering those rows costs about twice a full update per row,
+    so when they are most of the tableau the whole tableau is updated.
+    Either way the tableau, the pivot sequence and the solution are those
+    of the full update.
+    """
     t[row] /= t[row, col]
     column = t[:, col].copy()
     column[row] = 0.0
-    t -= np.outer(column, t[row])
+    rows = np.flatnonzero(column)
+    if 2 * rows.size > t.shape[0]:
+        t -= np.outer(column, t[row])
+    else:
+        t[rows] -= np.outer(column[rows], t[row])
     t[:, col] = 0.0
     t[row, col] = 1.0
     basis[row] = col

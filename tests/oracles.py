@@ -7,8 +7,9 @@ exceptions are the key-by-key reference for greedy rounding's stage 2
 and the search-and-push reference for the sequential baseline: they
 share the router's min-hop search (itself checked against
 ``simple_paths``), and the first also its stage 1, so that only the
-filling loop is under test.  The
-reference models check the planner's assumptions from first principles:
+filling loop is under test.  ``pivot_dense`` is the simplex pivot with
+the full-tableau update, which the row-skipping ``lp._pivot`` must equal.
+The reference models check the planner's assumptions from first principles:
 drawing bits from one link's pool, trusted-relay forwarding with
 hop-by-hop XOR, and gains/QBERs summed over photon numbers from the
 per-photon-number statistics, yields and error rates.
@@ -395,6 +396,20 @@ def vertex_enumeration_optimum(lp: LinearProgram) -> Optional[float]:
             if best is None or value < best:
                 best = value
     return best
+
+
+# --- simplex references ---------------------------------------------------------
+
+
+def pivot_dense(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """``lp._pivot`` with the full-tableau update: every row, zero entry or not."""
+    t[row] /= t[row, col]
+    column = t[:, col].copy()
+    column[row] = 0.0
+    t -= np.outer(column, t[row])
+    t[:, col] = 0.0
+    t[row, col] = 1.0
+    basis[row] = col
 
 
 # --- random flow instances ------------------------------------------------------

@@ -60,6 +60,32 @@ class TestRateCommand:
     def test_invalid_protocol_override_exits_1(self, capsys):
         assert main(["rate", "geo-gs", "--nu", "0.7"]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize(
+        "flag, value, code",
+        [
+            ("--f-ec", "nan", EXIT_INPUT_ERROR),
+            ("--f-ec", "inf", EXIT_INPUT_ERROR),
+            ("--pulse-rate", "inf", EXIT_INPUT_ERROR),
+            ("--distance", "inf", EXIT_INPUT_ERROR),
+            ("--distance", "nan", EXIT_INPUT_ERROR),
+            ("--atm-db", "inf", EXIT_INPUT_ERROR),
+            ("--pointing-db", "inf", EXIT_INPUT_ERROR),
+            ("--fried-parameter", "inf", EXIT_INPUT_ERROR),
+            ("--mu", "1e300", EXIT_MODEL_DOMAIN),
+            ("--pointing-db", "1e5", EXIT_MODEL_DOMAIN),
+            ("--distance", "1e300", EXIT_MODEL_DOMAIN),
+        ],
+    )
+    def test_out_of_range_numbers_exit_with_one_line(self, capsys, flag, value, code):
+        # non-finite inputs are input errors; finite ones the model cannot
+        # evaluate are model-domain errors; neither prints a table or a traceback
+        assert main(["rate", "leo-gs", flag, value]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if code == EXIT_INPUT_ERROR:
+            assert "must be finite" in captured.err
+
 
 class TestPlanCommand:
     def test_bundled_names_resolve(self):

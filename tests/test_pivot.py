@@ -1,0 +1,160 @@
+"""The row-skipping simplex pivot takes the dense pivot's every step.
+
+``lp._pivot`` updates only the rows whose pivot-column entry is nonzero
+(the whole tableau when those are most of it); ``oracles.pivot_dense``
+always updates the whole tableau.  Each program here is
+solved twice, once with each pivot, recording every ``(row, col)`` the
+pivot receives and where artificial eviction starts and ends.  The two
+runs must take the same pivots and return the same status, the same
+``x`` bytes and the same objective.
+"""
+import random
+
+import numpy as np
+import pytest
+
+from qkdplan import lp
+from qkdplan.router import Commodity, build_lp
+
+from oracles import pivot_dense, random_instance
+
+EVICT, PHASE2 = "evict", "phase 2"
+
+
+def solve_recording(monkeypatch, program, pivot):
+    """Solve with ``pivot`` in place of ``lp._pivot``.
+
+    Returns the trace, the number of pivots whose column has a nonzero
+    entry off the pivot row in at most half the rows (those ``lp._pivot``
+    updates row by row) and the solution.  The trace lists the pivots in
+    order, with ``EVICT`` and ``PHASE2`` marking the start and the end of
+    artificial eviction.
+    """
+    trace = []
+    sparse = 0
+    evict = lp._evict_artificials
+
+    def recording_pivot(t, basis, row, col):
+        nonlocal sparse
+        trace.append((row, col))
+        sparse += 2 * (np.count_nonzero(t[:, col]) - 1) <= t.shape[0]
+        pivot(t, basis, row, col)
+
+    def recording_evict(t, basis, first_artificial):
+        trace.append(EVICT)
+        result = evict(t, basis, first_artificial)
+        trace.append(PHASE2)
+        return result
+
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_pivot", recording_pivot)
+        m.setattr(lp, "_evict_artificials", recording_evict)
+        solution = lp.solve(program)
+    return trace, sparse, solution
+
+
+def outcome(solution):
+    x = None if solution.x is None else solution.x.tobytes()
+    value = None if solution.objective_value is None else solution.objective_value.hex()
+    return solution.status, x, value
+
+
+def assert_same_as_dense(monkeypatch, program):
+    """Solve both ways, assert equal traces and outcomes, return the sparse run."""
+    trace, sparse, solution = solve_recording(monkeypatch, program, lp._pivot)
+    dense_trace, _, dense_solution = solve_recording(monkeypatch, program, pivot_dense)
+    assert trace == dense_trace
+    assert outcome(solution) == outcome(dense_solution)
+    return trace, sparse, solution
+
+
+def pivot_count(trace):
+    return sum(1 for step in trace if step not in (EVICT, PHASE2))
+
+
+def random_program(rng):
+    """A small sparse program mixing <= and = rows with negative right-hand sides.
+
+    Many equality rows have a zero right-hand side, and some repeat the sum
+    of two others, so phase 1 often ends with a zero-level artificial that
+    must be evicted or dropped.
+    """
+    n = rng.randint(1, 8)
+
+    def row():
+        return [rng.choice((0, 0, 0, 1, -1, 2, 0.5, -3)) for _ in range(n)]
+
+    a_ub = [row() for _ in range(rng.randint(0, 6))]
+    b_ub = [float(rng.randint(-2, 9)) for _ in a_ub]
+    a_eq = [row() for _ in range(rng.randint(0, 4))]
+    b_eq = [float(rng.choice((0, 0, 0, -2, 1, 3))) for _ in a_eq]
+    if len(a_eq) >= 2 and rng.random() < 0.4:
+        a_eq.append([u + w for u, w in zip(a_eq[0], a_eq[1])])
+        b_eq.append(b_eq[0] + b_eq[1])
+    objective = [float(rng.randint(-3, 3)) for _ in range(n)]
+    return lp.LinearProgram(
+        objective=objective,
+        a_ub=a_ub or None,
+        b_ub=b_ub or None,
+        a_eq=a_eq or None,
+        b_eq=b_eq or None,
+    )
+
+
+def test_random_programs_take_the_dense_pivots(monkeypatch):
+    rng = random.Random(7100)
+    statuses = {status: 0 for status in lp.LpStatus}
+    evictions = eviction_pivots = pivots = sparse = 0
+    for _ in range(600):
+        trace, sparse_pivots, solution = assert_same_as_dense(monkeypatch, random_program(rng))
+        statuses[solution.status] += 1
+        pivots += pivot_count(trace)
+        sparse += sparse_pivots
+        if EVICT in trace:
+            evictions += 1
+            eviction_pivots += trace.index(PHASE2) - trace.index(EVICT) - 1
+    # every outcome, artificial eviction and both kinds of update all occur
+    assert min(statuses.values()) >= 20, statuses
+    assert evictions >= 50 and eviction_pivots >= 20, (evictions, eviction_pivots)
+    assert 100 <= sparse <= pivots - 100, (sparse, pivots)
+
+
+@pytest.mark.parametrize("gs_relay", [True, False])
+@pytest.mark.parametrize("objective", ["mmd", "mr"])
+def test_flow_programs_take_the_dense_pivots(monkeypatch, objective, gs_relay):
+    rng = random.Random(7200 + 2 * gs_relay + (objective == "mr"))
+    pivots = sparse = 0
+    for _ in range(80):
+        graph, pairs = random_instance(rng, max_commodities=6, max_paths=None)
+        pool_total = sum(link.pool_bits for link in graph.links)
+        commodities = [
+            Commodity(a, b, None if objective == "mmd" else rng.randint(0, pool_total))
+            for a, b in pairs
+        ]
+        program, _ = build_lp(graph, commodities, objective, gs_relay=gs_relay)
+        trace, sparse_pivots, _ = assert_same_as_dense(monkeypatch, program)
+        pivots += pivot_count(trace)
+        sparse += sparse_pivots
+    assert pivots > 200 and sparse > pivots / 2, (sparse, pivots)
+
+
+def test_rows_with_a_zero_pivot_entry_are_left_alone():
+    rng = np.random.default_rng(7300)
+    sparse = 0
+    for _ in range(200):
+        t = rng.standard_normal((7, 10))
+        t[rng.random((7, 10)) < 0.5] = 0.0
+        row, col = int(rng.integers(7)), int(rng.integers(9))
+        t[row, col] = rng.choice((-2.5, 0.75, 3.0))
+        untouched = np.flatnonzero(t[:, col] == 0.0)
+        sparse += 2 * (7 - untouched.size - 1) <= 7
+        before = t.copy()
+        basis, dense_basis = list(range(7)), list(range(7))
+        dense = t.copy()
+        lp._pivot(t, basis, row, col)
+        pivot_dense(dense, dense_basis, row, col)
+        # value for value: -0.0 == 0.0, so only the sign of a zero may differ
+        assert np.array_equal(t[untouched], before[untouched])
+        assert np.array_equal(t, dense)
+        assert basis == dense_basis and basis[row] == col
+    assert 50 <= sparse <= 150, sparse  # both kinds of update occur
