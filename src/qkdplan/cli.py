@@ -10,7 +10,8 @@ Two subcommands:
   solution independently, and emits a markdown or CSV report.
 
 Exit codes: 0 success, 1 input error (including a report that cannot be
-written and a non-finite ``rate`` number), 2 infeasible request set,
+written, a non-finite ``rate`` number, and a scenario link whose preset
+rate model overflows, named as ``links[i]``), 2 infeasible request set,
 3 model-domain error (e.g. a near-field distance, or ``rate`` numbers
 whose model overflows or divides by zero), 4 solver failure (the simplex
 hit its iteration limit or returned an infeasible point, or the plan is
@@ -177,7 +178,6 @@ class RunReport:
     window_seconds: float
     graph: netmodel.QkdGraph
     solution: router.FlowSolution
-    wall_seconds: float
 
 
 def _mmd_pairs(scenario: netmodel.Scenario) -> tuple[tuple[str, str], ...]:
@@ -297,8 +297,8 @@ def _cmd_plan(args) -> int:
         window_seconds=scenario.window_seconds,
         graph=graph,
         solution=solution,
-        wall_seconds=time.perf_counter() - started,
     )
+    wall_seconds = time.perf_counter() - started
     text = build_markdown(report) if args.format == "md" else router.solution_to_csv(solution)
     if args.out is not None:
         try:
@@ -308,7 +308,7 @@ def _cmd_plan(args) -> int:
             return EXIT_INPUT_ERROR
     else:
         sys.stdout.write(text)
-    print(f"wall-clock: {report.wall_seconds:.3f} s", file=sys.stderr)
+    print(f"wall-clock: {wall_seconds:.3f} s", file=sys.stderr)
     return EXIT_OK
 
 

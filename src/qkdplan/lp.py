@@ -1,13 +1,12 @@
 """Self-contained dense linear-programming solver.
 
 Minimizes c.x subject to inequality rows A_ub x <= b_ub, equality rows
-A_eq x = b_eq, and per-variable bounds lo <= x <= hi (hi may be
-unbounded).  Two-phase tableau simplex: phase 1 drives artificial
-variables out with a feasibility objective, phase 2 optimizes the real
-cost.  Each phase pivots by Dantzig's rule for speed and, after a run of
-degenerate pivots, by Bland's rule for the rest of that phase, which
-guarantees termination on the highly degenerate flow LPs this package
-produces.  A pivot updates only the rows whose pivot-column entry is
+A_eq x = b_eq, and x >= 0.  Two-phase tableau simplex: phase 1 drives
+artificial variables out with a feasibility objective, phase 2 optimizes
+the real cost.  Each phase pivots by Dantzig's rule for speed and, after
+a run of degenerate pivots, by Bland's rule for the rest of that phase,
+which guarantees termination on the highly degenerate flow LPs this
+package produces.  A pivot updates only the rows whose pivot-column entry is
 nonzero, or the whole tableau when those are more than half of it: on
 the sparse flow LPs most rows have a zero there, and for them the full
 update would subtract exact zeros.
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +26,7 @@ __all__ = ["LpStatus", "LinearProgram", "LpSolution", "solve"]
 
 _PIVOT_TOL = 1e-10
 _OPT_TOL = 1e-9  # reduced-cost optimality tolerance
-_FEAS_TOL = 1e-8  # relative feasibility tolerance of rows, bounds and the result
+_FEAS_TOL = 1e-8  # relative feasibility tolerance of rows and the result
 _DEGENERATE_SWITCH = 24  # consecutive degenerate pivots before Bland engages
 
 
@@ -39,14 +38,16 @@ class LpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize objective . x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  bounds."""
+    """minimize objective . x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x >= 0."""
 
     objective: np.ndarray
     a_ub: Optional[np.ndarray] = None
     b_ub: Optional[np.ndarray] = None
     a_eq: Optional[np.ndarray] = None
     b_eq: Optional[np.ndarray] = None
-    bounds: Optional[Sequence[tuple[float, Optional[float]]]] = None
+    # Not a field: benchmark/tracing.py and benchmark/test_bench.py still read
+    # it, and the next benchmark change drops it.
+    bounds = None
 
     def __post_init__(self) -> None:
         c = np.asarray(self.objective, dtype=float).reshape(-1)
@@ -68,16 +69,6 @@ class LinearProgram:
                 )
             object.__setattr__(self, f"a_{name}", a)
             object.__setattr__(self, f"b_{name}", b)
-        if self.bounds is not None:
-            bounds = tuple((float(lo), None if hi is None else float(hi)) for lo, hi in self.bounds)
-            if len(bounds) != n:
-                raise ValueError(f"{len(bounds)} bounds given for {n} variables")
-            for j, (lo, hi) in enumerate(bounds):
-                if not np.isfinite(lo):
-                    raise ValueError(f"variable {j}: lower bound must be finite, got {lo}")
-                if hi is not None and hi < lo:
-                    raise ValueError(f"variable {j}: bounds [{lo}, {hi}] are inverted")
-            object.__setattr__(self, "bounds", bounds)
 
     @property
     def num_variables(self) -> int:
@@ -94,90 +85,53 @@ class LpSolution:
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve the program; returns Optimal/Infeasible/Unbounded with x and value.
 
-    Reduced costs count as optimal above -1e-9; rows, bounds and the
-    returned point are held to 1e-8 relative to their scale.
+    Reduced costs count as optimal above -1e-9; rows and the returned
+    point, x >= 0 included, are held to 1e-8 relative to their scale.
     """
     n = lp.num_variables
-    bounds = lp.bounds if lp.bounds is not None else tuple((0.0, None) for _ in range(n))
-
-    c = lp.objective.copy()
-    a_ub = lp.a_ub.copy() if lp.a_ub is not None else np.zeros((0, n))
-    b_ub = lp.b_ub.copy() if lp.b_ub is not None else np.zeros(0)
-    a_eq = lp.a_eq.copy() if lp.a_eq is not None else np.zeros((0, n))
-    b_eq = lp.b_eq.copy() if lp.b_eq is not None else np.zeros(0)
-
-    # Substitute fixed variables out, shift the rest to a zero lower bound,
-    # and turn finite upper bounds into extra inequality rows.
-    lows = np.array([lo for lo, _ in bounds], dtype=float)
-    fixed = np.array([hi is not None and hi == lo for lo, hi in bounds], dtype=bool)
-    free_idx = np.where(~fixed)[0]
-    b_ub = b_ub - a_ub @ lows
-    b_eq = b_eq - a_eq @ lows
-    a_ub = a_ub[:, free_idx]
-    a_eq = a_eq[:, free_idx]
-    c_free = c[free_idx]
-    upper_rows = []
-    upper_rhs = []
-    for pos, j in enumerate(free_idx):
-        lo, hi = bounds[j]
-        if hi is not None:
-            row = np.zeros(free_idx.size)
-            row[pos] = 1.0
-            upper_rows.append(row)
-            upper_rhs.append(hi - lo)
-    if upper_rows:
-        a_ub = np.vstack([a_ub, np.array(upper_rows)])
-        b_ub = np.concatenate([b_ub, np.array(upper_rhs)])
-
-    n_free = free_idx.size
-    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
-    m = m_ub + m_eq
-
-    # Columns: structural | ub slacks | artificials (appended as needed).
-    a = np.zeros((m, n_free + m_ub))
-    a[:m_ub, :n_free] = a_ub
-    a[:m_ub, n_free : n_free + m_ub] = np.eye(m_ub)
-    a[m_ub:, :n_free] = a_eq
+    a_ub = lp.a_ub if lp.a_ub is not None else np.zeros((0, n))
+    b_ub = lp.b_ub if lp.b_ub is not None else np.zeros(0)
+    a_eq = lp.a_eq if lp.a_eq is not None else np.zeros((0, n))
+    b_eq = lp.b_eq if lp.b_eq is not None else np.zeros(0)
+    m_ub = b_ub.size
     b = np.concatenate([b_ub, b_eq])
     negative = b < 0
-    a[negative] *= -1.0
-    b[negative] = -b[negative]
 
-    basis: list[int] = []
-    artificial_cols: list[np.ndarray] = []
-    next_col = n_free + m_ub
-    for i in range(m):
-        if i < m_ub and not negative[i]:
-            basis.append(n_free + i)  # slack enters the basis directly
-        else:
-            col = np.zeros(m)
-            col[i] = 1.0
-            artificial_cols.append(col)
-            basis.append(next_col)
-            next_col += 1
-    if artificial_cols:
-        a = np.hstack([a, np.column_stack(artificial_cols)])
-    t = np.hstack([a, b.reshape(-1, 1)])
+    # Columns: structural | ub slacks | artificials | rhs.  A <= row with a
+    # nonnegative rhs starts on its slack; every other row gets an
+    # artificial, in row order.
+    first_artificial = n + m_ub
+    artificial_rows = np.flatnonzero(negative | (np.arange(b.size) >= m_ub))
+    artificial_cols = first_artificial + np.arange(artificial_rows.size)
+    t = np.zeros((b.size, first_artificial + artificial_rows.size + 1))
+    t[:m_ub, :n] = a_ub
+    t[np.arange(m_ub), np.arange(n, first_artificial)] = 1.0
+    t[m_ub:, :n] = a_eq
+    t[negative, :first_artificial] *= -1.0
+    t[:, -1] = np.where(negative, -b, b)
+    t[artificial_rows, artificial_cols] = 1.0
+    basis = np.arange(n, n + b.size)
+    basis[artificial_rows] = artificial_cols
+    basis = basis.tolist()
 
-    if artificial_cols:
+    if artificial_rows.size:
         phase1_cost = np.zeros(t.shape[1] - 1)
-        phase1_cost[n_free + m_ub :] = 1.0
+        phase1_cost[first_artificial:] = 1.0
         if _run(t, basis, phase1_cost) is not LpStatus.OPTIMAL:  # pragma: no cover - cannot be unbounded
             raise RuntimeError("phase 1 terminated abnormally")
         scale = max(1.0, float(np.abs(b).max(initial=0.0)))
         if float(phase1_cost[basis] @ t[:, -1]) > _FEAS_TOL * scale:
             return LpSolution(status=LpStatus.INFEASIBLE)
-        t, basis = _evict_artificials(t, basis, n_free + m_ub)
+        t, basis = _evict_artificials(t, basis, first_artificial)
 
     phase2_cost = np.zeros(t.shape[1] - 1)
-    phase2_cost[:n_free] = c_free
+    phase2_cost[:n] = lp.objective
     if _run(t, basis, phase2_cost) is LpStatus.UNBOUNDED:
         return LpSolution(status=LpStatus.UNBOUNDED)
 
-    x = lows.copy()
-    x_free = np.zeros(t.shape[1] - 1)
-    x_free[basis] = t[:, -1]
-    x[free_idx] += x_free[:n_free]
+    values = np.zeros(t.shape[1] - 1)
+    values[basis] = t[:, -1]
+    x = values[:n] + 0.0  # no -0.0 entries
     if not _feasible(lp, x):  # pragma: no cover - numerical safety net
         raise ArithmeticError("simplex returned an infeasible point")
     return LpSolution(status=LpStatus.OPTIMAL, x=x, objective_value=float(lp.objective @ x))
@@ -267,16 +221,8 @@ def _evict_artificials(
 
 def _feasible(lp: LinearProgram, x: np.ndarray) -> bool:
     tol = _FEAS_TOL * max(1.0, float(np.abs(x).max(initial=0.0)))
-    if lp.a_ub is not None:
-        if np.any(lp.a_ub @ x - lp.b_ub > tol):
-            return False
-    if lp.a_eq is not None:
-        if np.any(np.abs(lp.a_eq @ x - lp.b_eq) > tol):
-            return False
-    bounds = lp.bounds if lp.bounds is not None else tuple((0.0, None) for _ in range(x.size))
-    for j, (lo, hi) in enumerate(bounds):
-        if x[j] < lo - tol:
-            return False
-        if hi is not None and x[j] > hi + tol:
-            return False
-    return True
+    if lp.a_ub is not None and np.any(lp.a_ub @ x - lp.b_ub > tol):
+        return False
+    if lp.a_eq is not None and np.any(np.abs(lp.a_eq @ x - lp.b_eq) > tol):
+        return False
+    return bool(np.all(x >= -tol))

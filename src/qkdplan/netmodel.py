@@ -265,6 +265,8 @@ def _parse_link(entry: dict, where: str) -> Link:
         rate = linkbudget.link_performance(params).rate_bps
     except linkbudget.NearFieldError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
+    except ArithmeticError as exc:
+        raise ScenarioError(f"{where}: rate model out of numeric range: {exc}") from exc
     return Link(a=a, b=b, rate_bps=rate)
 
 

@@ -98,9 +98,6 @@ class FlowSolution:
     def total_flow(self) -> float:
         return sum(self.flows.values())
 
-    def consumed_for(self, index: int) -> float:
-        return self.consumed_per_commodity()[index]
-
     def consumed_per_commodity(self) -> tuple[float, ...]:
         """Pool bits each commodity consumed, summed in one pass over the flows."""
         totals: dict[int, float] = {}

@@ -326,14 +326,12 @@ def scipy_solve(lp: LinearProgram) -> tuple[LpStatus, Optional[float]]:
     n = lp.num_variables
     if n == 0:
         return LpStatus.OPTIMAL, 0.0
-    bounds = list(lp.bounds) if lp.bounds is not None else [(0, None)] * n
-    res = linprog(
+    res = linprog(  # HiGHS's default bounds are x >= 0
         lp.objective,
         A_ub=lp.a_ub,
         b_ub=lp.b_ub,
         A_eq=lp.a_eq,
         b_eq=lp.b_eq,
-        bounds=bounds,
         method="highs",
     )
     if res.status == 0:
@@ -353,7 +351,8 @@ def vertex_enumeration_optimum(lp: LinearProgram) -> Optional[float]:
 
     Every vertex of a pointed polytope activates n linearly independent
     constraints; equality rows are always active, the rest are chosen from
-    inequality rows and bounds.  Returns None when no feasible vertex exists.
+    inequality rows and the rows x_j >= 0.  Returns None when no feasible
+    vertex exists.
     """
     n = lp.num_variables
     rows: list[tuple[np.ndarray, float]] = []
@@ -364,23 +363,17 @@ def vertex_enumeration_optimum(lp: LinearProgram) -> Optional[float]:
     if lp.a_ub is not None:
         for a, b in zip(lp.a_ub, lp.b_ub):
             rows.append((a, b))
-    bounds = lp.bounds if lp.bounds is not None else tuple((0.0, None) for _ in range(n))
-    for j, (lo, hi) in enumerate(bounds):
+    for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        rows.append((e, lo))
-        if hi is not None:
-            rows.append((e, hi))
+        rows.append((e, 0.0))
 
     def feasible(x: np.ndarray) -> bool:
         if lp.a_ub is not None and np.any(lp.a_ub @ x - lp.b_ub > 1e-7):
             return False
         if lp.a_eq is not None and np.any(np.abs(lp.a_eq @ x - lp.b_eq) > 1e-7):
             return False
-        for j, (lo, hi) in enumerate(bounds):
-            if x[j] < lo - 1e-7 or (hi is not None and x[j] > hi + 1e-7):
-                return False
-        return True
+        return bool(np.all(x >= -1e-7))
 
     need = n - len(must)
     best = None

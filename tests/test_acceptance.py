@@ -238,10 +238,11 @@ def test_consumption_rate_bound(fig3like):
 
     per_pair_ok = True
     mr = route_mr(fig3like, [(a, b, level) for a, b in all_pairs])
+    consumed = mr.consumed_per_commodity()
     for i, commodity in enumerate(mr.commodities):
         delivered = mr.demands[i]
         if delivered > 0:  # no GS pair has a direct link, so >= 2 applies to all
-            per_pair_ok = per_pair_ok and mr.consumed_for(i) >= 2.0 * delivered
+            per_pair_ok = per_pair_ok and consumed[i] >= 2.0 * delivered
 
     ok = per_pair_ok and rate_all >= 2.0 and rate_near <= rate_far
     report(

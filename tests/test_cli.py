@@ -225,6 +225,7 @@ class TestPlanCommand:
             ("10", "true", "1000e3", "rate_bps"),
             ("10", "10", "Infinity", "distance_m"),
             ("10", "10", "true", "distance_m"),
+            ("10", "10", "1e300", "links[1]: rate model out of numeric range"),
         ],
     )
     def test_bad_numbers_exit_1(self, tmp_path, capsys, elapsed, rate, distance, fragment):

@@ -57,44 +57,6 @@ class TestBasics:
         assert result.objective_value == pytest.approx(1.0, abs=1e-9)
 
 
-class TestBounds:
-    def test_shifted_lower_bound(self):
-        lp = LinearProgram(objective=[1.0], bounds=[(2.0, 5.0)])
-        result = solve(lp)
-        assert result.x[0] == pytest.approx(2.0, abs=1e-9)
-
-    def test_finite_upper_bound(self):
-        lp = LinearProgram(objective=[-1.0], bounds=[(0.0, 3.5)])
-        result = solve(lp)
-        assert result.x[0] == pytest.approx(3.5, abs=1e-9)
-
-    def test_fixed_variable_substituted(self):
-        lp = LinearProgram(
-            objective=[1.0, -1.0],
-            a_ub=[[1.0, 1.0]],
-            b_ub=[4.0],
-            bounds=[(1.0, 1.0), (0.0, None)],
-        )
-        result = solve(lp)
-        assert result.x[0] == pytest.approx(1.0, abs=1e-12)
-        assert result.x[1] == pytest.approx(3.0, abs=1e-9)
-
-    def test_all_variables_fixed(self):
-        lp = LinearProgram(
-            objective=[1.0, 1.0],
-            a_eq=[[1.0, 1.0]],
-            b_eq=[3.0],
-            bounds=[(1.0, 1.0), (2.0, 2.0)],
-        )
-        result = solve(lp)
-        assert result.status is LpStatus.OPTIMAL
-        assert result.objective_value == pytest.approx(3.0)
-
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            LinearProgram(objective=[1.0], bounds=[(2.0, 1.0)])
-
-
 class TestValidation:
     def test_row_width_mismatch(self):
         with pytest.raises(ValueError):
@@ -103,10 +65,6 @@ class TestValidation:
     def test_rhs_length_mismatch(self):
         with pytest.raises(ValueError):
             LinearProgram(objective=[1.0], a_ub=[[1.0]], b_ub=[1.0, 2.0])
-
-    def test_bounds_length_mismatch(self):
-        with pytest.raises(ValueError):
-            LinearProgram(objective=[1.0, 2.0], bounds=[(0.0, None)])
 
     def test_matrix_without_rhs(self):
         with pytest.raises(ValueError):

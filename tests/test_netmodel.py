@@ -312,6 +312,10 @@ class TestScenarioLoading:
                 {"requests": [{"src": "g1", "dst": "g2", "demand_bits": 10**400}]},
                 "requests[0].demand_bits",
             ),
+            (
+                {"links": [{"a": "g1", "b": "s1", "preset": "leo-gs", "distance_m": 1e300}]},
+                "links[0]: rate model out of numeric range",
+            ),
         ],
     )
     def test_schema_violations_name_the_field(self, patch, fragment):

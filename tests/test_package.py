@@ -1,5 +1,9 @@
 """Public surface: what ``import qkdplan`` and each module export."""
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +48,22 @@ def test_package_reexports_come_from_module_exports():
         if not attr.startswith("_") and attr not in MODULES
     }
     assert public - exported == set()
+
+
+def test_runtime_package_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy (HiGHS) is a test extra.
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import qkdplan\n"
+        "names = [m.name for m in pkgutil.iter_modules(qkdplan.__path__) if m.name != '__main__']\n"
+        "for name in names:\n"
+        "    importlib.import_module('qkdplan.' + name)\n"
+        "print(len(names), 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(qkdplan.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == f"{len(MODULES)} False\n"

@@ -648,7 +648,8 @@ class TestRandomizedProperties:
         for case in range(40):
             graph, pairs = random_instance(rng, max_paths=None)
             mmd = route_mmd(graph, pairs)
+            consumed = mmd.consumed_per_commodity()
             for i, commodity in enumerate(mmd.commodities):
                 delivered = mmd.demands[i]
                 if delivered > 0:
-                    assert mmd.consumed_for(i) >= 2 * delivered, f"case {case}"
+                    assert consumed[i] >= 2 * delivered, f"case {case}"
