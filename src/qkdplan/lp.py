@@ -6,11 +6,25 @@ artificial variables out with a feasibility objective, phase 2 optimizes
 the real cost.  Each phase pivots by Dantzig's rule for speed and, after
 a run of degenerate pivots, by Bland's rule for the rest of that phase,
 which guarantees termination on the highly degenerate flow LPs this
-package produces.  A pivot updates only the rows whose pivot-column entry is
-nonzero, or the whole tableau when those are more than half of it: on
-the sparse flow LPs most rows have a zero there, and for them the full
-update would subtract exact zeros.
+package produces.
 
+Two shortcuts skip work whose result is known exactly:
+
+- A phase whose cost has at most one nonzero, cost[k], prices from one
+  tableau row: the reduced costs are cost - cost[k] * (row of k) when k
+  is basic, and cost itself when it is not.  The full product
+  cost[basis] @ T adds that one rounded product to exact zeros, in any
+  summation order, so the reduced costs are the same bits.  Phase 2 of
+  such a program (every max-min demand LP, whose cost is -t) keeps its
+  tableau in column-major (Fortran) order; every other phase keeps
+  row-major order, so its pricing product runs as before.
+- A pivot updates only the lines along the tableau's contiguous axis that
+  can change: in a row-major tableau the rows whose pivot-column entry is
+  nonzero, in a column-major one the columns whose pivot-row entry is
+  nonzero, or the whole tableau when those are more than half.  A skipped
+  line would have had exact zeros subtracted.
+
+So the layout and the shortcuts change no pivot and no bit of the result.
 Everything is deterministic: identical inputs take identical pivot
 sequences and return identical solutions.
 """
@@ -51,6 +65,7 @@ class LinearProgram:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.objective, dtype=float).reshape(-1)
+        _require_finite("objective", c)
         object.__setattr__(self, "objective", c)
         n = c.size
         for name in ("ub", "eq"):
@@ -67,12 +82,19 @@ class LinearProgram:
                     f"a_{name} shape {a.shape} does not match "
                     f"{b.size} rows x {n} variables"
                 )
+            _require_finite(f"a_{name}", a)
+            _require_finite(f"b_{name}", b)
             object.__setattr__(self, f"a_{name}", a)
             object.__setattr__(self, f"b_{name}", b)
 
     @property
     def num_variables(self) -> int:
         return self.objective.size
+
+
+def _require_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} holds NaN or infinity")
 
 
 @dataclass(frozen=True)
@@ -99,11 +121,16 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     # Columns: structural | ub slacks | artificials | rhs.  A <= row with a
     # nonnegative rhs starts on its slack; every other row gets an
-    # artificial, in row order.
+    # artificial, in row order.  Phase 1 is row-major; phase 2 is
+    # column-major when its cost has at most one nonzero.
     first_artificial = n + m_ub
     artificial_rows = np.flatnonzero(negative | (np.arange(b.size) >= m_ub))
     artificial_cols = first_artificial + np.arange(artificial_rows.size)
-    t = np.zeros((b.size, first_artificial + artificial_rows.size + 1))
+    phase2_order = "F" if np.count_nonzero(lp.objective) <= 1 else "C"
+    t = np.zeros(
+        (b.size, first_artificial + artificial_rows.size + 1),
+        order="C" if artificial_rows.size else phase2_order,
+    )
     t[:m_ub, :n] = a_ub
     t[np.arange(m_ub), np.arange(n, first_artificial)] = 1.0
     t[m_ub:, :n] = a_eq
@@ -122,7 +149,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         scale = max(1.0, float(np.abs(b).max(initial=0.0)))
         if float(phase1_cost[basis] @ t[:, -1]) > _FEAS_TOL * scale:
             return LpSolution(status=LpStatus.INFEASIBLE)
-        t, basis = _evict_artificials(t, basis, first_artificial)
+        t, basis = _evict_artificials(t, basis, first_artificial, phase2_order)
 
     phase2_cost = np.zeros(t.shape[1] - 1)
     phase2_cost[:n] = lp.objective
@@ -140,22 +167,33 @@ def solve(lp: LinearProgram) -> LpSolution:
 def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
     """Make column col basic in row, in place.
 
-    A row whose entry in column col is zero would have zero times the
-    (finite) pivot row subtracted, which changes none of its values (at
-    most the sign of a zero), so only the other rows need the update.  Gathering
-    and scattering those rows costs about twice a full update per row,
-    so when they are most of the tableau the whole tableau is updated.
-    Either way the tableau, the pivot sequence and the solution are those
-    of the full update.
+    The full update subtracts column[i] * pivot_row[j] from every entry.
+    Where either factor is zero that subtracts an exact zero (the tableau
+    is finite), which changes no value, at most the sign of a zero.  So a
+    row-major tableau updates only the rows whose pivot-column entry is
+    nonzero, and a column-major one only the columns whose pivot-row entry
+    is nonzero: both gather along the contiguous axis.  Gathering and
+    scattering cost about twice a full update per line, so when those
+    lines are more than half of the tableau it is updated whole.  Every
+    temporary is built in the tableau's own order.  Either way the
+    tableau, the pivot sequence and the solution are those of the full
+    update.
     """
     t[row] /= t[row, col]
     column = t[:, col].copy()
     column[row] = 0.0
-    rows = np.flatnonzero(column)
-    if 2 * rows.size > t.shape[0]:
-        t -= np.outer(column, t[row])
+    if t.flags.c_contiguous:
+        rows = np.flatnonzero(column)
+        if 2 * rows.size > t.shape[0]:
+            t -= np.outer(column, t[row])
+        else:
+            t[rows] -= np.outer(column[rows], t[row])
     else:
-        t[rows] -= np.outer(column[rows], t[row])
+        cols = np.flatnonzero(t[row])
+        if 2 * cols.size > t.shape[1]:
+            t -= np.outer(t[row], column).T
+        else:
+            t[:, cols] -= np.outer(t[row, cols], column).T
     t[:, col] = 0.0
     t[row, col] = 1.0
     basis[row] = col
@@ -166,12 +204,23 @@ def _run(t: np.ndarray, basis: list[int], cost: np.ndarray) -> LpStatus:
 
     Dantzig's rule picks the entering column until _DEGENERATE_SWITCH
     degenerate pivots come in a row; Bland's rule then holds for the rest
-    of this run.
+    of this run.  The reduced costs are cost - cost[basis] @ T.  When cost
+    has at most one nonzero, cost[k], that product is cost[k] times the row
+    where k is basic plus exact zeros, or all zeros when k is nonbasic, so
+    it is taken from that one row: the same bits in either tableau order.
     """
+    costed = np.flatnonzero(cost)
+    single_cost = costed.size <= 1
+    k = int(costed[0]) if costed.size else -1  # -1 is never basic
     blands_rule = False
     degenerate_run = 0
     for _ in range(200 * (t.shape[0] + t.shape[1] - 1) + 10_000):
-        reduced = cost - cost[basis] @ t[:, :-1]
+        if not single_cost:
+            reduced = cost - cost[basis] @ t[:, :-1]
+        elif k in basis:
+            reduced = cost - cost[k] * t[basis.index(k), :-1]
+        else:
+            reduced = cost
         candidates = np.where(reduced < -_OPT_TOL)[0]
         if candidates.size == 0:
             return LpStatus.OPTIMAL
@@ -199,13 +248,14 @@ def _run(t: np.ndarray, basis: list[int], cost: np.ndarray) -> LpStatus:
 
 
 def _evict_artificials(
-    t: np.ndarray, basis: list[int], first_artificial: int
+    t: np.ndarray, basis: list[int], first_artificial: int, order: str
 ) -> tuple[np.ndarray, list[int]]:
     """Pivot zero-level artificial variables out of the basis after phase 1.
 
     Rows whose artificial cannot be replaced are redundant constraints and
     are dropped.  Returns the phase-2 tableau (kept rows, artificial
-    columns removed) and its basis.
+    columns removed) in ``order`` ("C" or "F"), built in one copy, and its
+    basis.
     """
     keep = []
     for row in range(t.shape[0]):
@@ -215,7 +265,10 @@ def _evict_artificials(
                 continue
             _pivot(t, basis, row, int(candidates[0]))
         keep.append(row)
-    t = np.delete(t[keep], np.s_[first_artificial:-1], axis=1)
+    if order == "F":  # gathered from the transpose, so the copy is column-major
+        t = t.T[np.ix_(np.r_[:first_artificial, -1], keep)].T
+    else:
+        t = np.delete(t[keep], np.s_[first_artificial:-1], axis=1)
     return t, [basis[row] for row in keep]
 
 

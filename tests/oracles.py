@@ -8,7 +8,9 @@ and the search-and-push reference for the sequential baseline: they
 share the router's min-hop search (itself checked against
 ``simple_paths``), and the first also its stage 1, so that only the
 filling loop is under test.  ``pivot_dense`` is the simplex pivot with
-the full-tableau update, which the row-skipping ``lp._pivot`` must equal.
+the full-tableau update, which the line-skipping ``lp._pivot`` must equal,
+and ``solve_row_major`` the simplex with a row-major tableau and the full
+reduced-cost product in every phase, which ``lp.solve`` must equal.
 The reference models check the planner's assumptions from first principles:
 drawing bits from one link's pool, trusted-relay forwarding with
 hop-by-hop XOR, and gains/QBERs summed over photon numbers from the
@@ -25,12 +27,13 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from qkdplan import lp as lp_module
 from qkdplan.decoy import (
     DEFAULT_PROTOCOL,
     DecoyProtocolParams,
     DegenerateChannelError,
 )
-from qkdplan.lp import LinearProgram, LpStatus
+from qkdplan.lp import LinearProgram, LpSolution, LpStatus
 from qkdplan.netmodel import Link, Node, NodeKind, QkdGraph, canonical_pair
 from qkdplan.router import (
     Commodity,
@@ -403,6 +406,110 @@ def pivot_dense(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
     t[:, col] = 0.0
     t[row, col] = 1.0
     basis[row] = col
+
+
+EVICT, PHASE2 = "evict", "phase 2"
+
+
+def solve_row_major(lp: LinearProgram, trace: Optional[list] = None) -> LpSolution:
+    """``lp.solve`` as it was before single-cost phases had their own path.
+
+    Every phase keeps a row-major tableau, computes its reduced costs with
+    the full product ``cost[basis] @ T`` on every iteration and pivots with
+    ``pivot_dense``.  ``trace``, when given, receives every ``(row, col)``
+    pivoted, with ``EVICT`` and ``PHASE2`` marking the start and the end of
+    artificial eviction.
+    """
+    record = [] if trace is None else trace
+
+    def pivot(t, basis, row, col):
+        record.append((row, col))
+        pivot_dense(t, basis, row, col)
+
+    n = lp.num_variables
+    a_ub = lp.a_ub if lp.a_ub is not None else np.zeros((0, n))
+    b_ub = lp.b_ub if lp.b_ub is not None else np.zeros(0)
+    a_eq = lp.a_eq if lp.a_eq is not None else np.zeros((0, n))
+    b_eq = lp.b_eq if lp.b_eq is not None else np.zeros(0)
+    m_ub = b_ub.size
+    b = np.concatenate([b_ub, b_eq])
+    negative = b < 0
+    first_artificial = n + m_ub
+    artificial_rows = np.flatnonzero(negative | (np.arange(b.size) >= m_ub))
+    artificial_cols = first_artificial + np.arange(artificial_rows.size)
+    t = np.zeros((b.size, first_artificial + artificial_rows.size + 1))
+    t[:m_ub, :n] = a_ub
+    t[np.arange(m_ub), np.arange(n, first_artificial)] = 1.0
+    t[m_ub:, :n] = a_eq
+    t[negative, :first_artificial] *= -1.0
+    t[:, -1] = np.where(negative, -b, b)
+    t[artificial_rows, artificial_cols] = 1.0
+    basis = np.arange(n, n + b.size)
+    basis[artificial_rows] = artificial_cols
+    basis = basis.tolist()
+
+    if artificial_rows.size:
+        phase1_cost = np.zeros(t.shape[1] - 1)
+        phase1_cost[first_artificial:] = 1.0
+        if _run_row_major(t, basis, phase1_cost, pivot) is not LpStatus.OPTIMAL:
+            raise RuntimeError("phase 1 terminated abnormally")
+        scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+        if float(phase1_cost[basis] @ t[:, -1]) > lp_module._FEAS_TOL * scale:
+            return LpSolution(status=LpStatus.INFEASIBLE)
+        record.append(EVICT)
+        keep = []
+        for row in range(t.shape[0]):
+            if basis[row] >= first_artificial:
+                candidates = np.where(
+                    np.abs(t[row, :first_artificial]) > lp_module._PIVOT_TOL)[0]
+                if candidates.size == 0:
+                    continue
+                pivot(t, basis, row, int(candidates[0]))
+            keep.append(row)
+        t = np.delete(t[keep], np.s_[first_artificial:-1], axis=1)
+        basis = [basis[row] for row in keep]
+        record.append(PHASE2)
+
+    phase2_cost = np.zeros(t.shape[1] - 1)
+    phase2_cost[:n] = lp.objective
+    if _run_row_major(t, basis, phase2_cost, pivot) is LpStatus.UNBOUNDED:
+        return LpSolution(status=LpStatus.UNBOUNDED)
+    values = np.zeros(t.shape[1] - 1)
+    values[basis] = t[:, -1]
+    x = values[:n] + 0.0
+    if not lp_module._feasible(lp, x):
+        raise ArithmeticError("simplex returned an infeasible point")
+    return LpSolution(status=LpStatus.OPTIMAL, x=x, objective_value=float(lp.objective @ x))
+
+
+def _run_row_major(t, basis, cost, pivot) -> LpStatus:
+    """The pivoting loop of ``solve_row_major``: Dantzig, then Bland."""
+    blands_rule = False
+    degenerate_run = 0
+    for _ in range(200 * (t.shape[0] + t.shape[1] - 1) + 10_000):
+        reduced = cost - cost[basis] @ t[:, :-1]
+        candidates = np.where(reduced < -lp_module._OPT_TOL)[0]
+        if candidates.size == 0:
+            return LpStatus.OPTIMAL
+        if blands_rule:
+            col = int(candidates[0])
+        else:
+            col = int(candidates[np.argmin(reduced[candidates])])
+        column = t[:, col]
+        rows = np.where(column > lp_module._PIVOT_TOL)[0]
+        if rows.size == 0:
+            return LpStatus.UNBOUNDED
+        ratios = t[rows, -1] / column[rows]
+        best = ratios.min()
+        near = rows[ratios <= best + 1e-12 + 1e-9 * abs(best)]
+        leave = int(min(near, key=lambda r: basis[r]))
+        if best <= lp_module._PIVOT_TOL:
+            degenerate_run += 1
+            blands_rule = blands_rule or degenerate_run >= lp_module._DEGENERATE_SWITCH
+        else:
+            degenerate_run = 0
+        pivot(t, basis, leave, col)
+    raise RuntimeError("simplex iteration limit exceeded")
 
 
 # --- random flow instances ------------------------------------------------------

@@ -70,6 +70,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             LinearProgram(objective=[1.0], a_ub=[[1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["objective", "a_ub", "b_ub", "a_eq", "b_eq"])
+    def test_non_finite_entry(self, field, bad):
+        # without the check, solve returned Optimal: x = [0, 0] for a NaN
+        # objective, x = [inf] for b_eq = [inf]
+        fields = dict(
+            objective=[1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[4.0],
+            a_eq=[[1.0, -1.0]], b_eq=[0.0],
+        )
+        fields[field] = np.array(fields[field])
+        fields[field].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{field} holds NaN or infinity$"):
+            LinearProgram(**fields)
+
 
 def random_bounded_lp(rng: random.Random, n_vars=10, n_eq=5, n_ub=3):
     """Random LP with a box row, so the feasible set is a bounded polytope."""

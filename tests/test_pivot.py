@@ -1,13 +1,19 @@
-"""The row-skipping simplex pivot takes the dense pivot's every step.
+"""The simplex takes the row-major dense solver's every step.
 
-``lp._pivot`` updates only the rows whose pivot-column entry is nonzero
-(the whole tableau when those are most of it); ``oracles.pivot_dense``
-always updates the whole tableau.  Each program here is
-solved twice, once with each pivot, recording every ``(row, col)`` the
-pivot receives and where artificial eviction starts and ends.  The two
-runs must take the same pivots and return the same status, the same
-``x`` bytes and the same objective.
+``lp._pivot`` updates only the lines along the tableau's contiguous axis
+that can change (the whole tableau when those are most of it);
+``oracles.pivot_dense`` always updates the whole tableau.  ``lp.solve``
+prices a phase whose cost has one nonzero from one tableau row and keeps
+that phase's tableau column-major; ``oracles.solve_row_major`` keeps every
+tableau row-major, computes the full reduced-cost product every iteration
+and pivots with ``pivot_dense``.  Each program here is solved three ways:
+by ``lp.solve``, by ``lp.solve`` with ``pivot_dense`` in place of
+``lp._pivot``, and by ``solve_row_major``, recording every ``(row, col)``
+pivoted and where artificial eviction starts and ends.  The three must
+take the same pivots and return the same status, the same ``x`` bytes and
+the same objective.
 """
+import collections
 import random
 
 import numpy as np
@@ -16,33 +22,36 @@ import pytest
 from qkdplan import lp
 from qkdplan.router import Commodity, build_lp
 
-from oracles import pivot_dense, random_instance
+from oracles import EVICT, PHASE2, pivot_dense, random_instance, solve_row_major
 
-EVICT, PHASE2 = "evict", "phase 2"
+
+def update_kind(t, row, col):
+    """The update ``lp._pivot`` makes: "rows", "columns", "all rows" or "all columns"."""
+    if t.flags.c_contiguous:
+        return ("" if 2 * (np.count_nonzero(t[:, col]) - 1) <= t.shape[0] else "all ") + "rows"
+    return ("" if 2 * np.count_nonzero(t[row]) <= t.shape[1] else "all ") + "columns"
 
 
 def solve_recording(monkeypatch, program, pivot):
     """Solve with ``pivot`` in place of ``lp._pivot``.
 
-    Returns the trace, the number of pivots whose column has a nonzero
-    entry off the pivot row in at most half the rows (those ``lp._pivot``
-    updates row by row) and the solution.  The trace lists the pivots in
-    order, with ``EVICT`` and ``PHASE2`` marking the start and the end of
-    artificial eviction.
+    Returns the trace, a count of the pivots by the update ``lp._pivot``
+    makes for them (``update_kind``) and the solution.  The trace lists the
+    pivots in order, with ``EVICT`` and ``PHASE2`` marking the start and
+    the end of artificial eviction.
     """
     trace = []
-    sparse = 0
+    kinds = collections.Counter()
     evict = lp._evict_artificials
 
     def recording_pivot(t, basis, row, col):
-        nonlocal sparse
         trace.append((row, col))
-        sparse += 2 * (np.count_nonzero(t[:, col]) - 1) <= t.shape[0]
+        kinds[update_kind(t, row, col)] += 1
         pivot(t, basis, row, col)
 
-    def recording_evict(t, basis, first_artificial):
+    def recording_evict(*args):
         trace.append(EVICT)
-        result = evict(t, basis, first_artificial)
+        result = evict(*args)
         trace.append(PHASE2)
         return result
 
@@ -50,7 +59,7 @@ def solve_recording(monkeypatch, program, pivot):
         m.setattr(lp, "_pivot", recording_pivot)
         m.setattr(lp, "_evict_artificials", recording_evict)
         solution = lp.solve(program)
-    return trace, sparse, solution
+    return trace, kinds, solution
 
 
 def outcome(solution):
@@ -60,12 +69,14 @@ def outcome(solution):
 
 
 def assert_same_as_dense(monkeypatch, program):
-    """Solve both ways, assert equal traces and outcomes, return the sparse run."""
-    trace, sparse, solution = solve_recording(monkeypatch, program, lp._pivot)
+    """Solve all three ways, assert equal traces and outcomes, return the first run."""
+    trace, kinds, solution = solve_recording(monkeypatch, program, lp._pivot)
     dense_trace, _, dense_solution = solve_recording(monkeypatch, program, pivot_dense)
-    assert trace == dense_trace
-    assert outcome(solution) == outcome(dense_solution)
-    return trace, sparse, solution
+    row_major_trace = []
+    row_major_solution = solve_row_major(program, row_major_trace)
+    assert trace == dense_trace == row_major_trace
+    assert outcome(solution) == outcome(dense_solution) == outcome(row_major_solution)
+    return trace, kinds, solution
 
 
 def pivot_count(trace):
@@ -101,29 +112,72 @@ def random_program(rng):
     )
 
 
+def single_cost_program(rng):
+    """A program whose objective has one nonzero, with non-dyadic coefficients.
+
+    Products and quotients of 1/3, 0.7 and -1.1 round, so a different
+    summation order or a skipped update would show in the bits.
+    """
+    n = rng.randint(1, 12)
+
+    def row():
+        return [rng.choice((0, 0, 0, 0, 0, 1, -1, 1 / 3, 0.7, -1.1, 2.5)) for _ in range(n)]
+
+    a_ub = [row() for _ in range(rng.randint(0, 8))]
+    b_ub = [rng.choice((-1.1, 0.0, 1 / 3, 0.7, 2.0, 5.3, 7.7)) for _ in a_ub]
+    a_eq = [row() for _ in range(rng.randint(0, 4))]
+    b_eq = [rng.choice((0.0, 0.0, -0.7, 1 / 3, 1.1)) for _ in a_eq]
+    if len(a_eq) >= 2 and rng.random() < 0.3:
+        a_eq.append([u + w for u, w in zip(a_eq[0], a_eq[1])])
+        b_eq.append(b_eq[0] + b_eq[1])
+    objective = [0.0] * n
+    objective[rng.randrange(n)] = rng.choice((-1 / 3, -0.7, -1.1, 0.7, 1 / 3))
+    return lp.LinearProgram(
+        objective=objective,
+        a_ub=a_ub or None,
+        b_ub=b_ub or None,
+        a_eq=a_eq or None,
+        b_eq=b_eq or None,
+    )
+
+
 def test_random_programs_take_the_dense_pivots(monkeypatch):
     rng = random.Random(7100)
     statuses = {status: 0 for status in lp.LpStatus}
-    evictions = eviction_pivots = pivots = sparse = 0
+    evictions = eviction_pivots = pivots = gathered = 0
     for _ in range(600):
-        trace, sparse_pivots, solution = assert_same_as_dense(monkeypatch, random_program(rng))
+        trace, kinds, solution = assert_same_as_dense(monkeypatch, random_program(rng))
         statuses[solution.status] += 1
         pivots += pivot_count(trace)
-        sparse += sparse_pivots
+        gathered += kinds["rows"] + kinds["columns"]
         if EVICT in trace:
             evictions += 1
             eviction_pivots += trace.index(PHASE2) - trace.index(EVICT) - 1
     # every outcome, artificial eviction and both kinds of update all occur
     assert min(statuses.values()) >= 20, statuses
     assert evictions >= 50 and eviction_pivots >= 20, (evictions, eviction_pivots)
-    assert 100 <= sparse <= pivots - 100, (sparse, pivots)
+    assert 100 <= gathered <= pivots - 100, (gathered, pivots)
+
+
+def test_single_cost_programs_take_the_row_major_pivots(monkeypatch):
+    rng = random.Random(7400)
+    statuses = {status: 0 for status in lp.LpStatus}
+    kinds = collections.Counter()
+    for _ in range(2000):
+        _, program_kinds, solution = assert_same_as_dense(monkeypatch, single_cost_program(rng))
+        statuses[solution.status] += 1
+        kinds += program_kinds
+    assert min(statuses.values()) >= 100, statuses
+    # both updates of the column-major phase 2 occur, and both of phase 1's
+    assert min(kinds.values()) >= 200 and len(kinds) == 4, kinds
 
 
 @pytest.mark.parametrize("gs_relay", [True, False])
 @pytest.mark.parametrize("objective", ["mmd", "mr"])
 def test_flow_programs_take_the_dense_pivots(monkeypatch, objective, gs_relay):
     rng = random.Random(7200 + 2 * gs_relay + (objective == "mr"))
-    pivots = sparse = 0
+    pivots = 0
+    kinds = collections.Counter()
     for _ in range(80):
         graph, pairs = random_instance(rng, max_commodities=6, max_paths=None)
         pool_total = sum(link.pool_bits for link in graph.links)
@@ -132,10 +186,15 @@ def test_flow_programs_take_the_dense_pivots(monkeypatch, objective, gs_relay):
             for a, b in pairs
         ]
         program, _ = build_lp(graph, commodities, objective, gs_relay=gs_relay)
-        trace, sparse_pivots, _ = assert_same_as_dense(monkeypatch, program)
+        trace, program_kinds, _ = assert_same_as_dense(monkeypatch, program)
         pivots += pivot_count(trace)
-        sparse += sparse_pivots
-    assert pivots > 200 and sparse > pivots / 2, (sparse, pivots)
+        kinds += program_kinds
+    gathered = kinds["rows"] + kinds["columns"]
+    assert pivots > 200 and gathered > pivots / 2, (kinds, pivots)
+    if objective == "mmd":  # phase 2 (cost -t) runs on a column-major tableau
+        assert kinds["columns"] > 50, kinds
+    else:  # every mr phase is row-major
+        assert kinds["columns"] + kinds["all columns"] == 0, kinds
 
 
 def test_rows_with_a_zero_pivot_entry_are_left_alone():
@@ -155,6 +214,30 @@ def test_rows_with_a_zero_pivot_entry_are_left_alone():
         pivot_dense(dense, dense_basis, row, col)
         # value for value: -0.0 == 0.0, so only the sign of a zero may differ
         assert np.array_equal(t[untouched], before[untouched])
+        assert np.array_equal(t, dense)
+        assert basis == dense_basis and basis[row] == col
+    assert 50 <= sparse <= 150, sparse  # both kinds of update occur
+
+
+def test_columns_with_a_zero_pivot_row_entry_are_left_alone():
+    rng = np.random.default_rng(7301)
+    sparse = 0
+    for _ in range(200):
+        t = rng.standard_normal((7, 10))
+        t[rng.random((7, 10)) < 0.5] = 0.0
+        row, col = int(rng.integers(7)), int(rng.integers(9))
+        t[row, col] = rng.choice((-2.5, 0.75, 3.0))
+        t = np.asfortranarray(t)
+        untouched = np.flatnonzero(t[row] == 0.0)
+        sparse += 2 * (10 - untouched.size) <= 10
+        before = t.copy()
+        basis, dense_basis = list(range(7)), list(range(7))
+        dense = t.copy()
+        lp._pivot(t, basis, row, col)
+        pivot_dense(dense, dense_basis, row, col)
+        assert t.flags.f_contiguous and not t.flags.c_contiguous
+        # value for value: -0.0 == 0.0, so only the sign of a zero may differ
+        assert np.array_equal(t[:, untouched], before[:, untouched])
         assert np.array_equal(t, dense)
         assert basis == dense_basis and basis[row] == col
     assert 50 <= sparse <= 150, sparse  # both kinds of update occur
