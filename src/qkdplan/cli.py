@@ -21,18 +21,18 @@ stays byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import linkbudget, netmodel, router
-from .decoy import DecoyProtocolParams
+from .decoy import DEFAULT_PROTOCOL, DecoyProtocolParams
 from .lp import LpStatus
 
-__all__ = ["main", "entrypoint", "RunReport", "build_markdown"]
+__all__ = ["main", "entrypoint", "build_markdown"]
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -61,17 +61,24 @@ def _build_parser() -> _Parser:
 
     rate = sub.add_parser("rate", help="link budget and key rate for a preset link class")
     rate.add_argument("preset", help="link class: leo-gs, geo-gs or leo-leo")
-    rate.add_argument("--distance", type=float, default=None, help="link distance in meters")
-    rate.add_argument("--mu", type=float, default=None, help="signal intensity override")
-    rate.add_argument("--nu", type=float, default=None, help="decoy intensity override")
-    rate.add_argument("--y0", type=float, default=None, help="background yield override")
-    rate.add_argument("--q", type=float, default=None, help="protocol efficiency override")
-    rate.add_argument("--f-ec", type=float, default=None, help="error-correction efficiency")
-    rate.add_argument("--pulse-rate", type=float, default=None, help="pulses per second")
-    rate.add_argument("--atm-db", type=float, default=None, help="atmospheric loss override (dB)")
-    rate.add_argument("--pointing-db", type=float, default=None, help="pointing loss override (dB)")
-    rate.add_argument("--rx-efficiency", type=float, default=None, help="detector efficiency")
-    rate.add_argument("--fried-parameter", type=float, default=None, help="Fried parameter (m)")
+    # Each override's dest is the DecoyProtocolParams or FsoLinkParams field it sets.
+    rate.add_argument("--distance", dest="distance_m", type=float, help="link distance in meters")
+    rate.add_argument("--mu", type=float, help="signal intensity override")
+    rate.add_argument("--nu", type=float, help="decoy intensity override")
+    rate.add_argument("--y0", type=float, help="background yield override")
+    rate.add_argument("--q", type=float, help="protocol efficiency override")
+    rate.add_argument("--f-ec", type=float, help="error-correction efficiency")
+    rate.add_argument("--pulse-rate", dest="pulse_rate_hz", type=float, help="pulses per second")
+    rate.add_argument(
+        "--atm-db", dest="atm_loss_db", type=float, help="atmospheric loss override (dB)"
+    )
+    rate.add_argument(
+        "--pointing-db", dest="pointing_loss_db", type=float, help="pointing loss override (dB)"
+    )
+    rate.add_argument("--rx-efficiency", type=float, help="detector efficiency")
+    rate.add_argument(
+        "--fried-parameter", dest="fried_parameter_m", type=float, help="Fried parameter (m)"
+    )
 
     plan = sub.add_parser("plan", help="route key-exchange requests over a scenario")
     plan.add_argument("scenario", help="scenario file path or bundled scenario name")
@@ -85,16 +92,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _protocol_from_args(args) -> DecoyProtocolParams:
-    defaults = DecoyProtocolParams()
-    return DecoyProtocolParams(
-        mu=defaults.mu if args.mu is None else args.mu,
-        nu=defaults.nu if args.nu is None else args.nu,
-        q=defaults.q if args.q is None else args.q,
-        f_ec=defaults.f_ec if args.f_ec is None else args.f_ec,
-        y0=defaults.y0 if args.y0 is None else args.y0,
-        pulse_rate_hz=defaults.pulse_rate_hz if args.pulse_rate is None else args.pulse_rate,
-    )
+def _given(args, model) -> dict:
+    """The given ``rate`` flags that name a field of the dataclass ``model``."""
+    given = {field.name: getattr(args, field.name, None) for field in dataclasses.fields(model)}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _cmd_rate(args) -> int:
@@ -105,18 +106,9 @@ def _cmd_rate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT_ERROR
-    overrides = {}
-    if args.atm_db is not None:
-        overrides["atm_loss_db"] = args.atm_db
-    if args.pointing_db is not None:
-        overrides["pointing_loss_db"] = args.pointing_db
-    if args.rx_efficiency is not None:
-        overrides["rx_efficiency"] = args.rx_efficiency
-    if args.fried_parameter is not None:
-        overrides["fried_parameter_m"] = args.fried_parameter
     try:
-        params = linkbudget.preset_link(args.preset, distance_m=args.distance, **overrides)
-        protocol = _protocol_from_args(args)
+        params = linkbudget.preset_link(args.preset, **_given(args, linkbudget.FsoLinkParams))
+        protocol = dataclasses.replace(DEFAULT_PROTOCOL, **_given(args, DecoyProtocolParams))
         perf = linkbudget.link_performance(params, protocol)
     except linkbudget.NearFieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -168,18 +160,6 @@ def bundled_scenarios() -> tuple[str, ...]:
     return tuple(sorted(p.name[: -len(".json")] for p in base.iterdir() if p.name.endswith(".json")))
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one planning run produced, ready for rendering."""
-
-    scenario_name: str
-    objective: str
-    gs_relay: bool
-    window_seconds: float
-    graph: netmodel.QkdGraph
-    solution: router.FlowSolution
-
-
 def _mmd_pairs(scenario: netmodel.Scenario) -> tuple[tuple[str, str], ...]:
     if not scenario.requests:
         return router.gs_pairs(scenario.graph)
@@ -191,16 +171,20 @@ def _mmd_pairs(scenario: netmodel.Scenario) -> tuple[tuple[str, str], ...]:
     return tuple(seen)
 
 
-def build_markdown(report: RunReport) -> str:
-    solution = report.solution
+def build_markdown(
+    scenario_name: str,
+    scenario: netmodel.Scenario,
+    graph: netmodel.QkdGraph,
+    solution: router.FlowSolution,
+) -> str:
     lines = [
         "# qkdplan plan report",
         "",
-        f"- scenario: {report.scenario_name}",
-        f"- objective: {report.objective}",
+        f"- scenario: {scenario_name}",
+        f"- objective: {solution.kind}",
         f"- status: {solution.status.value}",
-        f"- gs_relay: {str(report.gs_relay).lower()}",
-        f"- elapsed_seconds: {report.window_seconds:g}",
+        f"- gs_relay: {str(scenario.gs_relay).lower()}",
+        f"- elapsed_seconds: {scenario.window_seconds:g}",
         "",
         "## Links",
         "",
@@ -208,11 +192,11 @@ def build_markdown(report: RunReport) -> str:
         "| --- | --- | --- | --- | --- |",
     ]
     consumed_by_link: dict[tuple[str, str], float] = {
-        link.endpoints: 0.0 for link in report.graph.links
+        link.endpoints: 0.0 for link in graph.links
     }
     for (_, (a, b)), value in solution.flows.items():
         consumed_by_link[netmodel.canonical_pair(a, b)] += value
-    for link in report.graph.links:
+    for link in graph.links:
         used = consumed_by_link[link.endpoints]
         lines.append(
             f"| {link.a}-{link.b} | {link.rate_bps:g} | {link.pool_bits} "
@@ -290,16 +274,11 @@ def _cmd_plan(args) -> int:
         print(f"error: verification failed: {violations[0]}{more}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 
-    report = RunReport(
-        scenario_name=Path(args.scenario).name,
-        objective=args.objective,
-        gs_relay=scenario.gs_relay,
-        window_seconds=scenario.window_seconds,
-        graph=graph,
-        solution=solution,
-    )
     wall_seconds = time.perf_counter() - started
-    text = build_markdown(report) if args.format == "md" else router.solution_to_csv(solution)
+    if args.format == "md":
+        text = build_markdown(Path(args.scenario).name, scenario, graph, solution)
+    else:
+        text = router.solution_to_csv(solution)
     if args.out is not None:
         try:
             args.out.write_text(text)

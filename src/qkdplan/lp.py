@@ -1,12 +1,12 @@
 """Self-contained dense linear-programming solver.
 
 Minimizes c.x subject to inequality rows A_ub x <= b_ub, equality rows
-A_eq x = b_eq, and x >= 0.  Two-phase tableau simplex: phase 1 drives
-artificial variables out with a feasibility objective, phase 2 optimizes
-the real cost.  Each phase pivots by Dantzig's rule for speed and, after
-a run of degenerate pivots, by Bland's rule for the rest of that phase,
-which guarantees termination on the highly degenerate flow LPs this
-package produces.
+A_eq x = b_eq, and x >= 0; an absent block is a 0-row array.  Two-phase
+tableau simplex: phase 1 drives artificial variables out with a
+feasibility objective, phase 2 optimizes the real cost.  Each phase
+pivots by Dantzig's rule for speed and, after a run of degenerate pivots,
+by Bland's rule for the rest of that phase, which guarantees termination
+on the highly degenerate flow LPs this package produces.
 
 Two shortcuts skip work whose result is known exactly:
 
@@ -52,7 +52,10 @@ class LpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize objective . x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x >= 0."""
+    """minimize objective . x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x >= 0.
+
+    An absent (None) a_ub/b_ub or a_eq/b_eq pair is stored as a 0-row array.
+    """
 
     objective: np.ndarray
     a_ub: Optional[np.ndarray] = None
@@ -74,7 +77,7 @@ class LinearProgram:
             if (a is None) != (b is None):
                 raise ValueError(f"a_{name} and b_{name} must be given together")
             if a is None:
-                continue
+                a, b = np.zeros((0, n)), np.zeros(0)
             a = np.atleast_2d(np.asarray(a, dtype=float))
             b = np.asarray(b, dtype=float).reshape(-1)
             if a.shape != (b.size, n):
@@ -111,12 +114,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     point, x >= 0 included, are held to 1e-8 relative to their scale.
     """
     n = lp.num_variables
-    a_ub = lp.a_ub if lp.a_ub is not None else np.zeros((0, n))
-    b_ub = lp.b_ub if lp.b_ub is not None else np.zeros(0)
-    a_eq = lp.a_eq if lp.a_eq is not None else np.zeros((0, n))
-    b_eq = lp.b_eq if lp.b_eq is not None else np.zeros(0)
-    m_ub = b_ub.size
-    b = np.concatenate([b_ub, b_eq])
+    m_ub = lp.b_ub.size
+    b = np.concatenate([lp.b_ub, lp.b_eq])
     negative = b < 0
 
     # Columns: structural | ub slacks | artificials | rhs.  A <= row with a
@@ -131,9 +130,9 @@ def solve(lp: LinearProgram) -> LpSolution:
         (b.size, first_artificial + artificial_rows.size + 1),
         order="C" if artificial_rows.size else phase2_order,
     )
-    t[:m_ub, :n] = a_ub
+    t[:m_ub, :n] = lp.a_ub
     t[np.arange(m_ub), np.arange(n, first_artificial)] = 1.0
-    t[m_ub:, :n] = a_eq
+    t[m_ub:, :n] = lp.a_eq
     t[negative, :first_artificial] *= -1.0
     t[:, -1] = np.where(negative, -b, b)
     t[artificial_rows, artificial_cols] = 1.0
@@ -167,33 +166,26 @@ def solve(lp: LinearProgram) -> LpSolution:
 def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
     """Make column col basic in row, in place.
 
-    The full update subtracts column[i] * pivot_row[j] from every entry.
-    Where either factor is zero that subtracts an exact zero (the tableau
-    is finite), which changes no value, at most the sign of a zero.  So a
-    row-major tableau updates only the rows whose pivot-column entry is
-    nonzero, and a column-major one only the columns whose pivot-row entry
-    is nonzero: both gather along the contiguous axis.  Gathering and
-    scattering cost about twice a full update per line, so when those
-    lines are more than half of the tableau it is updated whole.  Every
-    temporary is built in the tableau's own order.  Either way the
-    tableau, the pivot sequence and the solution are those of the full
+    Every entry gets t[i, j] - column[i] * pivot_row[j].  Where either
+    factor is zero that subtracts an exact zero (the tableau is finite),
+    which changes no value, at most the sign of a zero.  One rule runs on
+    whichever of t and t.T is C-contiguous: its lines are the rows of t,
+    each scaled by its pivot-column entry, or the columns of t, each scaled
+    by its pivot-row entry.  Only the lines with a nonzero factor are
+    updated, or all of them when those are more than half, since gathering
+    and scattering cost about twice a full update per line.  Either way
+    the tableau, the pivot sequence and the solution are those of the full
     update.
     """
     t[row] /= t[row, col]
     column = t[:, col].copy()
     column[row] = 0.0
-    if t.flags.c_contiguous:
-        rows = np.flatnonzero(column)
-        if 2 * rows.size > t.shape[0]:
-            t -= np.outer(column, t[row])
-        else:
-            t[rows] -= np.outer(column[rows], t[row])
+    lines, factor, line = (t, column, t[row]) if t.flags.c_contiguous else (t.T, t[row], column)
+    hit = np.flatnonzero(factor)
+    if 2 * hit.size > lines.shape[0]:
+        lines -= np.outer(factor, line)
     else:
-        cols = np.flatnonzero(t[row])
-        if 2 * cols.size > t.shape[1]:
-            t -= np.outer(t[row], column).T
-        else:
-            t[:, cols] -= np.outer(t[row, cols], column).T
+        lines[hit] -= np.outer(factor[hit], line)
     t[:, col] = 0.0
     t[row, col] = 1.0
     basis[row] = col
@@ -255,7 +247,7 @@ def _evict_artificials(
     Rows whose artificial cannot be replaced are redundant constraints and
     are dropped.  Returns the phase-2 tableau (kept rows, artificial
     columns removed) in ``order`` ("C" or "F"), built in one copy, and its
-    basis.
+    basis; the F copy is gathered from the transpose.
     """
     keep = []
     for row in range(t.shape[0]):
@@ -265,17 +257,15 @@ def _evict_artificials(
                 continue
             _pivot(t, basis, row, int(candidates[0]))
         keep.append(row)
-    if order == "F":  # gathered from the transpose, so the copy is column-major
-        t = t.T[np.ix_(np.r_[:first_artificial, -1], keep)].T
-    else:
-        t = np.delete(t[keep], np.s_[first_artificial:-1], axis=1)
+    cols = np.r_[:first_artificial, -1]
+    t = t[np.ix_(keep, cols)] if order == "C" else t.T[np.ix_(cols, keep)].T
     return t, [basis[row] for row in keep]
 
 
 def _feasible(lp: LinearProgram, x: np.ndarray) -> bool:
     tol = _FEAS_TOL * max(1.0, float(np.abs(x).max(initial=0.0)))
-    if lp.a_ub is not None and np.any(lp.a_ub @ x - lp.b_ub > tol):
+    if np.any(lp.a_ub @ x - lp.b_ub > tol):
         return False
-    if lp.a_eq is not None and np.any(np.abs(lp.a_eq @ x - lp.b_eq) > tol):
+    if np.any(np.abs(lp.a_eq @ x - lp.b_eq) > tol):
         return False
     return bool(np.all(x >= -tol))

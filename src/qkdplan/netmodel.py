@@ -11,6 +11,7 @@ Also provides the scenario JSON loader used by the CLI.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 import re
@@ -188,9 +189,12 @@ def accumulate_pools(graph: QkdGraph, duration_s: float) -> QkdGraph:
         if not math.isfinite(grown):
             raise ValueError(f"link {link.a}-{link.b}: a pool of {grown} bits is not finite")
         new_links.append(replace(link, pool_bits=link.pool_bits + math.floor(grown)))
-    return QkdGraph(
-        nodes=graph.nodes, links=new_links, elapsed_seconds=graph.elapsed_seconds + duration_s
-    )
+    # Same nodes and endpoints, checked and warned about when graph was built.
+    snapshot = copy.copy(graph)
+    object.__setattr__(snapshot, "links", tuple(new_links))
+    object.__setattr__(snapshot, "_links_by_pair", {l.endpoints: l for l in new_links})
+    object.__setattr__(snapshot, "elapsed_seconds", graph.elapsed_seconds + duration_s)
+    return snapshot
 
 
 class Request(NamedTuple):

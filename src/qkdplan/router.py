@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution, LpStatus, solve
+from .lp import LinearProgram, LpStatus, solve
 from .netmodel import NodeKind, QkdGraph, canonical_pair
 
 __all__ = [
@@ -251,40 +251,6 @@ def build_lp(
     return lp, tuple(columns)
 
 
-def _decode(
-    objective: str,
-    commodities: tuple[Commodity, ...],
-    columns: tuple[FlowKey, ...],
-    solution: LpSolution,
-) -> FlowSolution:
-    if solution.status is not LpStatus.OPTIMAL:
-        return FlowSolution(
-            kind=objective,
-            status=solution.status,
-            commodities=commodities,
-            flows={},
-            demands=tuple(0.0 for _ in commodities),
-            objective=None,
-        )
-    x = solution.x
-    flow_values = x[x.size - len(columns):]  # the flow columns come last
-    flows = {key: float(v) for key, v in zip(columns, flow_values) if v > _FLOW_EPS}
-    if objective == "mmd":
-        demands = tuple(float(x[1 + i]) for i in range(len(commodities)))
-        value = min(demands) if demands else 0.0
-    else:
-        demands = tuple(float(c.demand_bits) for c in commodities)
-        value = float(solution.objective_value)
-    return FlowSolution(
-        kind=objective,
-        status=LpStatus.OPTIMAL,
-        commodities=commodities,
-        flows=flows,
-        demands=demands,
-        objective=value,
-    )
-
-
 def solve_fractional(
     graph: QkdGraph,
     commodities: Sequence[Commodity],
@@ -295,7 +261,27 @@ def solve_fractional(
     """Solve the flow LP and decode it, without the integral rounding stage."""
     commodities = tuple(commodities)
     lp, columns = build_lp(graph, commodities, objective, edge_weights, gs_relay)
-    return _decode(objective, commodities, columns, solve(lp))
+    solution = solve(lp)
+    if solution.status is not LpStatus.OPTIMAL:
+        flows, demands, value = {}, (0.0,) * len(commodities), None
+    else:
+        x = solution.x
+        flow_values = x[x.size - len(columns):]  # the flow columns come last
+        flows = {key: float(v) for key, v in zip(columns, flow_values) if v > _FLOW_EPS}
+        if objective == "mmd":
+            demands = tuple(float(x[1 + i]) for i in range(len(commodities)))
+            value = min(demands) if demands else 0.0
+        else:
+            demands = tuple(float(c.demand_bits) for c in commodities)
+            value = float(solution.objective_value)
+    return FlowSolution(
+        kind=objective,
+        status=solution.status,
+        commodities=commodities,
+        flows=flows,
+        demands=demands,
+        objective=value,
+    )
 
 
 # --- min-hop path search ---------------------------------------------------
@@ -466,7 +452,7 @@ def greedy_round(
     graph: QkdGraph,
     fractional: FlowSolution,
     *,
-    gs_relay: bool = True,
+    gs_relay: bool,
 ) -> FlowSolution:
     """Round a fractional flow to integers and greedily re-grow demands.
 
@@ -474,7 +460,8 @@ def greedy_round(
     paths keeps conservation intact) and subtracts the integral flows from
     the pools.  Stage 2 is the progressive filling of :func:`_fill` over all
     commodities, each capped by its ``demand_bits`` (the requested amount
-    in fixed-demand routing; max-min commodities have none).
+    in fixed-demand routing; max-min commodities have none).  ``gs_relay``
+    must be the value ``fractional`` was solved with.
     """
     if fractional.status is not LpStatus.OPTIMAL:
         return fractional
@@ -590,11 +577,13 @@ def verify_solution(
     Walks the raw flow map without reusing any LP machinery and reports
     every violating link or (node, commodity) entry.  With
     ``gs_relay=False`` any positive flow touching a ground station other
-    than the commodity's endpoints is a violation; a commodity with
+    than the commodity's endpoints is a violation, reported once per
+    commodity and station; a commodity with
     ``demand_bits`` set may not be delivered more than that.
     """
     commodities = tuple(commodities)
     violations: list[str] = []
+    transits: set[tuple[int, str]] = set()  # (commodity, foreign ground station)
 
     used: dict[tuple[str, str], float] = {link.endpoints: 0.0 for link in graph.links}
     # Each commodity's net outflow per node, counting flows on links that do
@@ -617,7 +606,10 @@ def verify_solution(
         commodity = commodities[i]
         if not gs_relay and value > _VERIFY_TOL:
             for end in (a, b):
-                if end not in commodity.pair and graph.node(end).kind == NodeKind.GROUND_STATION:
+                if end in commodity.pair or (i, end) in transits:
+                    continue
+                if graph.node(end).kind == NodeKind.GROUND_STATION:
+                    transits.add((i, end))
                     violations.append(
                         f"commodity {i} ({commodity.source}->{commodity.sink}) "
                         f"transits ground station {end}"

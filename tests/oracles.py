@@ -358,23 +358,17 @@ def vertex_enumeration_optimum(lp: LinearProgram) -> Optional[float]:
     vertex exists.
     """
     n = lp.num_variables
-    rows: list[tuple[np.ndarray, float]] = []
-    must = []
-    if lp.a_eq is not None:
-        for a, b in zip(lp.a_eq, lp.b_eq):
-            must.append((a, b))
-    if lp.a_ub is not None:
-        for a, b in zip(lp.a_ub, lp.b_ub):
-            rows.append((a, b))
+    must = list(zip(lp.a_eq, lp.b_eq))
+    rows: list[tuple[np.ndarray, float]] = list(zip(lp.a_ub, lp.b_ub))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
         rows.append((e, 0.0))
 
     def feasible(x: np.ndarray) -> bool:
-        if lp.a_ub is not None and np.any(lp.a_ub @ x - lp.b_ub > 1e-7):
+        if np.any(lp.a_ub @ x - lp.b_ub > 1e-7):
             return False
-        if lp.a_eq is not None and np.any(np.abs(lp.a_eq @ x - lp.b_eq) > 1e-7):
+        if np.any(np.abs(lp.a_eq @ x - lp.b_eq) > 1e-7):
             return False
         return bool(np.all(x >= -1e-7))
 
@@ -427,20 +421,16 @@ def solve_row_major(lp: LinearProgram, trace: Optional[list] = None) -> LpSoluti
         pivot_dense(t, basis, row, col)
 
     n = lp.num_variables
-    a_ub = lp.a_ub if lp.a_ub is not None else np.zeros((0, n))
-    b_ub = lp.b_ub if lp.b_ub is not None else np.zeros(0)
-    a_eq = lp.a_eq if lp.a_eq is not None else np.zeros((0, n))
-    b_eq = lp.b_eq if lp.b_eq is not None else np.zeros(0)
-    m_ub = b_ub.size
-    b = np.concatenate([b_ub, b_eq])
+    m_ub = lp.b_ub.size
+    b = np.concatenate([lp.b_ub, lp.b_eq])
     negative = b < 0
     first_artificial = n + m_ub
     artificial_rows = np.flatnonzero(negative | (np.arange(b.size) >= m_ub))
     artificial_cols = first_artificial + np.arange(artificial_rows.size)
     t = np.zeros((b.size, first_artificial + artificial_rows.size + 1))
-    t[:m_ub, :n] = a_ub
+    t[:m_ub, :n] = lp.a_ub
     t[np.arange(m_ub), np.arange(n, first_artificial)] = 1.0
-    t[m_ub:, :n] = a_eq
+    t[m_ub:, :n] = lp.a_eq
     t[negative, :first_artificial] *= -1.0
     t[:, -1] = np.where(negative, -b, b)
     t[artificial_rows, artificial_cols] = 1.0

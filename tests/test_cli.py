@@ -2,6 +2,7 @@
 import hashlib
 import json
 import re
+import warnings
 
 import pytest
 
@@ -273,6 +274,26 @@ class TestPlanCommand:
         path.write_text(json.dumps(doc))
         assert main(["plan", str(path), "--objective", "mr"]) == EXIT_INFEASIBLE
 
+    def test_degree_warning_once_per_plan(self, tmp_path, capsys):
+        # building the accumulated graph used to warn a second time
+        doc = {
+            "nodes": [
+                {"id": "a", "kind": "gs"},
+                {"id": "b", "kind": "gs"},
+                {"id": "c", "kind": "gs"},
+                {"id": "l1", "kind": "leo"},
+            ],
+            "links": [{"a": g, "b": "l1", "rate_bps": 10} for g in "abc"],
+            "elapsed_seconds": 1,
+        }
+        path = tmp_path / "busy-leo.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(["plan", str(path), "--objective", "mmd"]) == EXIT_OK
+        messages = [str(w.message) for w in record]
+        assert messages == ["LEO 'l1' has more than 2 ground links"]
+
 
 class TestMicroScenarios:
     """The bundled micro scenarios carry brute-force-verified optima."""
@@ -342,6 +363,26 @@ STDOUT_DIGESTS = {
 }
 
 
+# (exit code, SHA-256 of stdout) of `qkdplan rate` for each preset alone and
+# for leo-gs with each override flag set to a valid non-default value.
+RATE_STDOUT_DIGESTS = {
+    ("leo-gs",): (0, "a59340e4e6440a4cecf0ef7fbcd3c4a3ec5064f8d5ced6c5c9c0533223dd1127"),
+    ("geo-gs",): (0, "d977e85406bc9328d83706a4f9fa7169c2110aeff39bab96000cdbd1b2ae9b2a"),
+    ("leo-leo",): (0, "193c1c12d9fabb033f8f61e68dccced1b9b5d43ee9ad47d430e9b081f8733410"),
+    ("leo-gs", "--distance", "800e3"): (0, "8391b03d58d70c843a3a757dee6058f271068bd0463e51b02a00fd2f5e2408a3"),
+    ("leo-gs", "--mu", "0.4"): (0, "2ee8677f004e2d312d6a3819c2f44c6be683b3cd96cc06631b585bea28059e28"),
+    ("leo-gs", "--nu", "0.05"): (0, "2de042e4fc3f1686249521da0954b9fdecc82ea1450125905fe9a3f49e6ac0db"),
+    ("leo-gs", "--y0", "3e-6"): (0, "dbc6567a9f1120f7dfc7a7cedd616ee96c1b410fec57002c9361719a26fe6638"),
+    ("leo-gs", "--q", "0.25"): (0, "bfc03032b20debb5de0f24855d5dddea33e4ec3d4137cdeaf5dadc062d926ff4"),
+    ("leo-gs", "--f-ec", "1.16"): (0, "6294c783f10064027c810c114921cb836c82a1f5ebb323863a0a5bbda6f72580"),
+    ("leo-gs", "--pulse-rate", "2e7"): (0, "a064f49eb1f23f63b1c1218a5bd8d1d7a23733240094a516f51d5f6455af66cd"),
+    ("leo-gs", "--atm-db", "5"): (0, "9abb76e96ebd80e16c674feebb0251f610bbe4de7ba0b03cc27732c0f789d0e4"),
+    ("leo-gs", "--pointing-db", "4"): (0, "e153db640ccbb13ef6ec162abdffaf9fedb301b524a08c37d320bd13ab6bc751"),
+    ("leo-gs", "--rx-efficiency", "0.3"): (0, "228cad9dae35c396919d56ea1a9f5ad26d2c5615e212ad44681e9135ed7b72db"),
+    ("leo-gs", "--fried-parameter", "0.1"): (0, "ccb90edb5369f8ee045ce5c851c10629d81317f90fb9f08aeeead092d949c763"),
+}
+
+
 class TestOutputContract:
     def test_every_bundled_scenario_is_pinned(self):
         assert {name for name, _, _ in STDOUT_DIGESTS} == set(bundled_scenarios())
@@ -351,3 +392,14 @@ class TestOutputContract:
         code = main(["plan", scenario, "--objective", objective, "--format", fmt])
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert (code, digest) == STDOUT_DIGESTS[(scenario, objective, fmt)]
+
+    def test_rate_pins_every_override_flag(self):
+        flags = {arg for args in RATE_STDOUT_DIGESTS for arg in args if arg.startswith("--")}
+        assert len(flags) == 11  # --distance and the ten overrides
+        assert len(set(RATE_STDOUT_DIGESTS.values())) == len(RATE_STDOUT_DIGESTS)
+
+    @pytest.mark.parametrize("args", list(RATE_STDOUT_DIGESTS))
+    def test_rate_stdout_digest(self, capsys, args):
+        code = main(["rate", *args])
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (code, digest) == RATE_STDOUT_DIGESTS[args]

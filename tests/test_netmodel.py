@@ -40,6 +40,13 @@ class TestAccumulate:
         assert grown.link_between("g1", "s1").pool_bits == 60000
         assert grown.elapsed_seconds == 60.0
 
+    def test_snapshot_equals_a_graph_built_from_its_parts(self):
+        # every attribute __post_init__ derives, lookup tables included
+        grown = accumulate_pools(line_graph(rate_a=3.0, rate_b=2.0, pool_b=4), 5.0)
+        built = QkdGraph(grown.nodes, grown.links, grown.elapsed_seconds)
+        assert vars(grown) == vars(built)
+        assert set(vars(built)) > {"_links_by_pair", "_neighbours", "_nodes_by_id"}
+
     def test_zero_duration_is_identity(self):
         graph = line_graph(pool_a=17)
         again = accumulate_pools(graph, 0.0)

@@ -187,7 +187,7 @@ class TestGreedyRound:
             demands=(5.0,),
             objective=5.0,
         )
-        rounded = greedy_round(graph, integral)
+        rounded = greedy_round(graph, integral, gs_relay=True)
         assert rounded.flows == integral.flows
         assert rounded.demands == integral.demands
 
@@ -209,7 +209,7 @@ class TestGreedyRound:
             demands=(5.0,),
             objective=5.0,
         )
-        rounded = greedy_round(graph, fractional)
+        rounded = greedy_round(graph, fractional, gs_relay=True)
         assert rounded.demands == (6.0,)
         assert rounded.integral
         assert verify_solution(graph, commodities, rounded).ok
@@ -230,7 +230,7 @@ class TestGreedyRound:
             demands=(5.0,),
             objective=10.0,
         )
-        rounded = greedy_round(graph, fractional)
+        rounded = greedy_round(graph, fractional, gs_relay=True)
         assert rounded.demands == (5.0,)
 
     def test_rounding_never_decreases_floored_demand(self):
@@ -238,7 +238,7 @@ class TestGreedyRound:
         for _ in range(40):
             graph, pairs = random_instance(rng, max_paths=None)
             fractional = solve_fractional(graph, [Commodity(a, b) for a, b in pairs], "mmd")
-            rounded = greedy_round(graph, fractional)
+            rounded = greedy_round(graph, fractional, gs_relay=True)
             for frac, whole in zip(fractional.demands, rounded.demands):
                 assert whole >= int(frac + 1e-6) - 1e-9
 
@@ -432,6 +432,19 @@ class TestGsRelayFlag:
         solution = route_mmd(relay_graph, [("a", "c")], gs_relay=False)
         assert solution.min_demand == 10.0
 
+    def test_rounding_needs_the_ban_setting(self, relay_graph):
+        fractional = solve_fractional(relay_graph, [Commodity("a", "b")], "mmd", gs_relay=False)
+        with pytest.raises(TypeError):
+            greedy_round(relay_graph, fractional)
+
+    def test_banned_rounding_tops_up_nothing_through_c(self, relay_graph):
+        # the LP delivers 0; a top-up without the ban would ship 10 keys via c
+        fractional = solve_fractional(relay_graph, [Commodity("a", "b")], "mmd", gs_relay=False)
+        assert fractional.demands == (0.0,)
+        rounded = greedy_round(relay_graph, fractional, gs_relay=False)
+        assert rounded.demands == (0.0,)
+        assert verify_solution(relay_graph, rounded.commodities, rounded, gs_relay=False).ok
+
 
 class TestVerifySolution:
     def test_foreign_station_detour_detected(self):
@@ -459,6 +472,12 @@ class TestVerifySolution:
         assert not report.ok
         assert any("transits ground station c" in v for v in report.violations)
         assert not any("station a" in v or "station b" in v for v in report.violations)
+
+    def test_transit_reported_once_per_station(self, relay_graph):
+        # the path a-s1-c-s2-b has two flows touching c: one violation
+        through_c = route_mmd(relay_graph, [("a", "b")], gs_relay=True)
+        report = verify_solution(relay_graph, through_c.commodities, through_c, gs_relay=False)
+        assert report.violations == ("commodity 0 (a->b) transits ground station c",)
 
     def test_delivery_above_request_detected(self):
         graph = line_pools(10, 6)
@@ -640,7 +659,7 @@ class TestRandomizedProperties:
             graph, pairs = random_instance(rng, max_paths=None)
             commodities = [Commodity(a, b) for a, b in pairs]
             fractional = solve_fractional(graph, commodities, "mmd")
-            rounded = greedy_round(graph, fractional)
+            rounded = greedy_round(graph, fractional, gs_relay=True)
             assert rounded.min_demand >= int(fractional.objective + 1e-9), f"case {case}"
 
     def test_relayed_bits_cost_at_least_two(self):
