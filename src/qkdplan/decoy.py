@@ -198,7 +198,11 @@ def forward_key_rate(
 
     Collapsed bounds are reported as a rate of zero rather than an error.
     """
-    obs = forward_observables(delta, params)
+    return _observed_key_rate(forward_observables(delta, params), params)
+
+
+def _observed_key_rate(obs: ChannelObservables, params: DecoyProtocolParams) -> float:
+    """Key rate (bits/s) from modelled observables; collapsed bounds give 0."""
     try:
         bounds = single_photon_bounds(obs, params)
     except BoundCollapseError:

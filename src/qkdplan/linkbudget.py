@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .decoy import DEFAULT_PROTOCOL, DecoyProtocolParams, forward_key_rate, forward_observables
+from .decoy import DEFAULT_PROTOCOL, DecoyProtocolParams, _observed_key_rate, forward_observables
 
 __all__ = [
     "FsoLinkParams",
@@ -244,5 +244,5 @@ def link_performance(
         e_mu=obs.e_mu,
         q_nu=obs.q_nu,
         e_nu=obs.e_nu,
-        rate_bps=forward_key_rate(delta, protocol),
+        rate_bps=_observed_key_rate(obs, protocol),
     )

@@ -88,11 +88,10 @@ class Link:
 
 @dataclass(frozen=True)
 class QkdGraph:
-    """Snapshot of the network: nodes, links, and accumulated window time."""
+    """Snapshot of the network: nodes and links."""
 
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
-    elapsed_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -193,7 +192,6 @@ def accumulate_pools(graph: QkdGraph, duration_s: float) -> QkdGraph:
     snapshot = copy.copy(graph)
     object.__setattr__(snapshot, "links", tuple(new_links))
     object.__setattr__(snapshot, "_links_by_pair", {l.endpoints: l for l in new_links})
-    object.__setattr__(snapshot, "elapsed_seconds", graph.elapsed_seconds + duration_s)
     return snapshot
 
 

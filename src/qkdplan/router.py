@@ -5,7 +5,8 @@ link key pools and provides three planners:
 
 * :func:`route_mmd` maximizes the minimum fulfilled demand across all
   ground-station pairs (via a dummy variable t with rows t <= d_i),
-* :func:`route_mr` minimizes total key consumption at fixed demands,
+* :func:`route_mr` minimizes total key consumption at fixed demands
+  (unit cost per flow variable: a relay hop spends one pool bit per key bit),
 * :func:`route_sequential_dijkstra` is the order-dependent baseline that
   serves requests one at a time over min-hop paths with residual pools.
 
@@ -163,7 +164,7 @@ def build_lp(
     graph: QkdGraph,
     commodities: Sequence[Commodity],
     objective: str,
-    edge_weights: Optional[dict[tuple[str, str], float]] = None,
+    *,
     gs_relay: bool = True,
 ) -> tuple[LinearProgram, tuple[FlowKey, ...]]:
     """Encode the flow problem as a linear program.
@@ -171,7 +172,7 @@ def build_lp(
     ``objective`` is ``"mmd"`` (maximize the minimum demand; demands are
     variables, cost (-1, 0, ..., 0) on the dummy t with rows t - d_i <= 0)
     or ``"mr"`` (minimize total flow at fixed demands; unit cost per flow
-    variable unless ``edge_weights`` overrides a link's relative cost).
+    variable).
 
     Variables: t and d_1..d_k (max-min only), then the flow columns per
     commodity and per link, forward (from the link's lexicographically
@@ -199,16 +200,6 @@ def build_lp(
         return LinearProgram(objective=np.zeros(0)), ()
     link_row = {link.endpoints: j for j, link in enumerate(graph.links)}
 
-    weights = {}
-    if edge_weights:
-        for pair, weight in edge_weights.items():
-            a, b = canonical_pair(*pair)
-            if weight < 0:
-                raise ValueError(f"edge weight for {a}-{b} must be >= 0, got {weight}")
-            if (a, b) not in link_row:
-                raise KeyError(f"edge weight given for unknown link {a}-{b}")
-            weights[(a, b)] = float(weight)
-
     columns: list[FlowKey] = []
     for i, commodity in enumerate(commodities):
         endpoints = set(commodity.pair)
@@ -220,16 +211,17 @@ def build_lp(
 
     num_nodes = len(graph.nodes)
     node_order = {node.id: pos for pos, node in enumerate(graph.nodes)}
-    cost = np.zeros(n)
+    if objective == "mr":
+        cost = np.ones(n)
+    else:
+        cost = np.zeros(n)
+        cost[0] = -1.0  # maximize t
     a_ub = np.zeros((len(link_row) + (k if objective == "mmd" else 0), n))
     b_ub = np.zeros(a_ub.shape[0])
     a_eq = np.zeros((k * num_nodes, n))
     b_eq = np.zeros(k * num_nodes)
     for col, (i, (u, v)) in enumerate(columns, start=offset):
-        pair = canonical_pair(u, v)
-        if objective == "mr":
-            cost[col] = weights.get(pair, 1.0)
-        a_ub[link_row[pair], col] = 1.0
+        a_ub[link_row[canonical_pair(u, v)], col] = 1.0
         a_eq[i * num_nodes + node_order[u], col] += 1.0  # flow out of u
         a_eq[i * num_nodes + node_order[v], col] -= 1.0  # flow into v
     b_ub[: len(link_row)] = [link.pool_bits for link in graph.links]
@@ -244,8 +236,6 @@ def build_lp(
         else:
             b_eq[source_row] = float(commodity.demand_bits)
             b_eq[sink_row] = -float(commodity.demand_bits)
-    if objective == "mmd":
-        cost[0] = -1.0
 
     lp = LinearProgram(objective=cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     return lp, tuple(columns)
@@ -255,12 +245,12 @@ def solve_fractional(
     graph: QkdGraph,
     commodities: Sequence[Commodity],
     objective: str,
-    edge_weights: Optional[dict[tuple[str, str], float]] = None,
+    *,
     gs_relay: bool = True,
 ) -> FlowSolution:
     """Solve the flow LP and decode it, without the integral rounding stage."""
     commodities = tuple(commodities)
-    lp, columns = build_lp(graph, commodities, objective, edge_weights, gs_relay)
+    lp, columns = build_lp(graph, commodities, objective, gs_relay=gs_relay)
     solution = solve(lp)
     if solution.status is not LpStatus.OPTIMAL:
         flows, demands, value = {}, (0.0,) * len(commodities), None
@@ -506,7 +496,6 @@ def route_mmd(
 def route_mr(
     graph: QkdGraph,
     requests: Sequence[tuple[str, str, int]],
-    edge_weights: Optional[dict[tuple[str, str], float]] = None,
     *,
     gs_relay: bool = True,
 ) -> FlowSolution:
@@ -520,7 +509,7 @@ def route_mr(
         Commodity(source=src, sink=dst, demand_bits=int(demand))
         for src, dst, demand in requests
     ]
-    fractional = solve_fractional(graph, commodities, "mr", edge_weights, gs_relay=gs_relay)
+    fractional = solve_fractional(graph, commodities, "mr", gs_relay=gs_relay)
     return greedy_round(graph, fractional, gs_relay=gs_relay)
 
 
@@ -579,11 +568,13 @@ def verify_solution(
     ``gs_relay=False`` any positive flow touching a ground station other
     than the commodity's endpoints is a violation, reported once per
     commodity and station; a commodity with
-    ``demand_bits`` set may not be delivered more than that.
+    ``demand_bits`` set may not be delivered more than that.  Flows of a
+    commodity index outside ``commodities`` are reported once per index.
     """
     commodities = tuple(commodities)
     violations: list[str] = []
     transits: set[tuple[int, str]] = set()  # (commodity, foreign ground station)
+    unknown: set[int] = set()  # commodity indices that name no commodity
 
     used: dict[tuple[str, str], float] = {link.endpoints: 0.0 for link in graph.links}
     # Each commodity's net outflow per node, counting flows on links that do
@@ -591,7 +582,9 @@ def verify_solution(
     net = [{node.id: 0.0 for node in graph.nodes} for _ in commodities]
     for (i, (a, b)), value in solution.flows.items():
         if not 0 <= i < len(commodities):
-            violations.append(f"flow references unknown commodity index {i}")
+            if i not in unknown:
+                unknown.add(i)
+                violations.append(f"flow references unknown commodity index {i}")
             continue
         if a in net[i] and b in net[i]:
             net[i][a] += value

@@ -323,12 +323,18 @@ def sequential_dijkstra_push(
 
 
 def scipy_solve(lp: LinearProgram) -> tuple[LpStatus, Optional[float]]:
-    """Solve the same LP with scipy's HiGHS as an independent reference."""
+    """Solve the same LP with scipy's HiGHS as an independent reference.
+
+    A program with no columns has the one point x = () and is judged from
+    its rows: feasible iff every ``b_ub >= 0`` and every ``b_eq == 0``.
+    """
     from scipy.optimize import linprog
 
-    n = lp.num_variables
-    if n == 0:
-        return LpStatus.OPTIMAL, 0.0
+    if lp.num_variables == 0:
+        tol = 1e-9
+        if np.all(lp.b_ub >= -tol) and np.all(np.abs(lp.b_eq) <= tol):
+            return LpStatus.OPTIMAL, 0.0
+        return LpStatus.INFEASIBLE, None
     res = linprog(  # HiGHS's default bounds are x >= 0
         lp.objective,
         A_ub=lp.a_ub,

@@ -7,7 +7,7 @@ import pytest
 
 from qkdplan.lp import LinearProgram, LpStatus, solve
 
-from oracles import vertex_enumeration_optimum
+from oracles import build_graph, scipy_solve, vertex_enumeration_optimum
 
 
 class TestBasics:
@@ -120,6 +120,30 @@ class TestOracleEquivalence:
             assert result.status is LpStatus.OPTIMAL
             # any feasible point scores no better than the reported optimum
             assert float(lp.objective @ x0) >= result.objective_value - 1e-6, f"case {case}"
+
+    @pytest.mark.parametrize(
+        "rows, status",
+        [
+            ({}, LpStatus.OPTIMAL),
+            ({"a_ub": np.zeros((2, 0)), "b_ub": [0.0, 3.0]}, LpStatus.OPTIMAL),
+            ({"a_ub": np.zeros((1, 0)), "b_ub": [-1.0]}, LpStatus.INFEASIBLE),
+            ({"a_eq": np.zeros((2, 0)), "b_eq": [0.0, 0.0]}, LpStatus.OPTIMAL),
+            ({"a_eq": np.zeros((2, 0)), "b_eq": [6.0, -6.0]}, LpStatus.INFEASIBLE),
+        ],
+        ids=["no-rows", "ub-slack", "ub-negative", "eq-zero", "eq-nonzero"],
+    )
+    def test_programs_without_columns_match_highs_oracle(self, rows, status):
+        lp = LinearProgram(objective=np.zeros(0), **rows)
+        assert solve(lp).status is scipy_solve(lp)[0] is status
+
+    def test_request_with_no_usable_link_matches_highs_oracle(self):
+        # with gs_relay off, g0->g2 may not touch g1, and neither end has a link
+        from qkdplan.router import Commodity, build_lp
+
+        graph = build_graph({"g0": "gs", "g1": "gs", "g2": "gs", "s1": "leo"}, [("g1", "s1", 10)])
+        lp, columns = build_lp(graph, [Commodity("g0", "g2", demand_bits=6)], "mr", gs_relay=False)
+        assert lp.num_variables == 0 == len(columns)
+        assert solve(lp).status is scipy_solve(lp)[0] is LpStatus.INFEASIBLE
 
 
 class TestDeterminism:

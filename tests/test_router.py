@@ -131,6 +131,8 @@ class TestBuildLp:
         )
         lp_mr, columns_mr = build_lp(graph, [Commodity("g1", "g2", demand_bits=3)], "mr")
         assert lp_mr.num_variables == 4 == len(columns_mr)
+        assert lp_mr.objective.tolist() == [1.0] * 4  # unit cost per flow column
+        assert lp.objective.tolist() == [-1.0] + [0.0] * 5  # maximize t
         assert lp.bounds is None and lp_mr.bounds is None
 
         commodities = [Commodity("a", "b"), Commodity("a", "c")]
@@ -146,6 +148,16 @@ class TestBuildLp:
         ]
         _, relayed = build_lp(relay_graph, commodities, "mmd", gs_relay=True)
         assert len(relayed) == 2 * 2 * 4
+
+    def test_options_are_keyword_only(self):
+        commodities = [Commodity("g1", "g2", demand_bits=3)]
+        with pytest.raises(TypeError):
+            build_lp(line_pools(), commodities, "mr", edge_weights={("g1", "s1"): 2.0})
+        # a positional fourth argument is not taken as gs_relay
+        with pytest.raises(TypeError):
+            build_lp(line_pools(), commodities, "mr", False)
+        with pytest.raises(TypeError):
+            solve_fractional(line_pools(), commodities, "mr", False)
 
 
 class TestMinHopPath:
@@ -341,22 +353,10 @@ class TestRouteMr:
         assert solution.status is LpStatus.INFEASIBLE
         assert solution.flows == {}
 
-    def test_edge_weights_steer_the_routing(self):
-        graph = diamond_pools(10)
-        cheap = route_mr(graph, [("a", "b", 4)])
-        assert cheap.total_flow == 8.0
-        # make the s1 route expensive; all flow should move to s2
-        weighted = route_mr(
-            graph,
-            [("a", "b", 4)],
-            edge_weights={("a", "s1"): 10.0, ("s1", "b"): 10.0},
-        )
-        assert weighted.flows.get((0, ("a", "s2"))) == pytest.approx(4.0)
-        assert (0, ("a", "s1")) not in weighted.flows
-
-    def test_unknown_weight_link_rejected(self):
-        with pytest.raises(KeyError):
-            route_mr(line_pools(), [("g1", "g2", 1)], edge_weights={("x", "y"): 1.0})
+    def test_takes_no_per_link_weights(self):
+        # every relay hop costs one pool bit per key bit; there is no cost knob
+        with pytest.raises(TypeError):
+            route_mr(line_pools(), [("g1", "g2", 1)], edge_weights={("g1", "s1"): 2.0})
 
 
 class TestSequentialDijkstra:
@@ -570,6 +570,20 @@ class TestVerifySolution:
         )
         report = verify_solution(graph, commodities, bogus)
         assert report.violations == ("flow on nonexistent link g1-g2 (commodity 0)",)
+
+    def test_unknown_commodity_reported_once_per_index(self):
+        graph = line_pools()
+        commodities = (Commodity("g1", "g2"),)
+        bogus = FlowSolution(
+            kind="mmd",
+            status=LpStatus.OPTIMAL,
+            commodities=commodities,
+            flows={(3, ("g1", "s1")): 1, (3, ("s1", "g2")): 1},
+            demands=(0.0,),
+            objective=0.0,
+        )
+        report = verify_solution(graph, commodities, bogus)
+        assert report.violations == ("flow references unknown commodity index 3",)
 
 
 class TestCsvRoundTrip:
