@@ -240,15 +240,14 @@ def _cmd_plan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    requests = [(r.src, r.dst, r.demand_bits) for r in scenario.requests]
     try:
         if args.objective == "mmd":
             solution = router.route_mmd(graph, _mmd_pairs(scenario), gs_relay=scenario.gs_relay)
         elif args.objective == "mr":
-            solution = router.route_mr(graph, requests, gs_relay=scenario.gs_relay)
+            solution = router.route_mr(graph, scenario.requests, gs_relay=scenario.gs_relay)
         else:
             solution = router.route_sequential_dijkstra(
-                graph, requests, gs_relay=scenario.gs_relay
+                graph, scenario.requests, gs_relay=scenario.gs_relay
             )
     except (RuntimeError, ArithmeticError) as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)

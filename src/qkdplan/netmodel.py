@@ -122,7 +122,6 @@ class QkdGraph:
                     f"ground stations {link.a!r} and {link.b!r} cannot share a direct link"
                 )
         object.__setattr__(self, "_nodes_by_id", by_id)
-        object.__setattr__(self, "_links_by_pair", {l.endpoints: l for l in links})
         object.__setattr__(self, "_neighbours", neighbours)
         self._warn_degree_limits()
 
@@ -165,13 +164,6 @@ class QkdGraph:
         except KeyError:
             raise KeyError(f"unknown node {node_id!r}") from None
 
-    def link_between(self, a: str, b: str) -> Link:
-        pair = canonical_pair(a, b)
-        try:
-            return self._links_by_pair[pair]
-        except KeyError:
-            raise KeyError(f"no link between {a!r} and {b!r}") from None
-
     def ground_stations(self) -> tuple[str, ...]:
         return tuple(
             sorted(n.id for n in self.nodes if n.kind == NodeKind.GROUND_STATION)
@@ -191,7 +183,6 @@ def accumulate_pools(graph: QkdGraph, duration_s: float) -> QkdGraph:
     # Same nodes and endpoints, checked and warned about when graph was built.
     snapshot = copy.copy(graph)
     object.__setattr__(snapshot, "links", tuple(new_links))
-    object.__setattr__(snapshot, "_links_by_pair", {l.endpoints: l for l in new_links})
     return snapshot
 
 

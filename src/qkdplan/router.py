@@ -19,18 +19,20 @@ each ship one more key, in index order, along their residual paths until
 no commodity can grow; every stretch of identical rounds is applied in
 one step.  The baseline runs the same filling for one request at a time.
 
-Every undirected link contributes two directed flow variables to each
-commodity that may use both of its ends (with ``gs_relay`` off, ground
-stations other than the commodity's endpoints are off limits); a link's
-single pool caps the sum of both directions over all commodities, because
-the shared secret bits on a link are usable either way.  All tie-breaking
-is deterministic (commodity index, then lexicographic node ids), so
-identical inputs give identical plans.
+One node list per commodity (:func:`_usable_nodes`; with ``gs_relay`` off
+it leaves out the ground stations other than the commodity's endpoints)
+gives the commodity its conservation rows, its two directed flow variables
+per link with both ends usable, and the nodes its path searches may enter.
+A link's single pool caps the sum of both directions over all commodities,
+because the shared secret bits on a link are usable either way.  All
+tie-breaking is deterministic (commodity index, then lexicographic node
+ids), so identical inputs give identical plans.
 """
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -148,8 +150,16 @@ def _check_commodities(graph: QkdGraph, commodities: Sequence[Commodity]) -> Non
                 )
 
 
-def _transit_allowed(graph: QkdGraph, node_id: str, endpoints: set[str], gs_relay: bool) -> bool:
-    return gs_relay or node_id in endpoints or graph.node(node_id).kind != NodeKind.GROUND_STATION
+def _usable_nodes(graph: QkdGraph, pair: tuple[str, str], gs_relay: bool) -> list[str]:
+    """The nodes a commodity between ``pair`` may touch, in graph node order.
+
+    All of them, or with ``gs_relay`` off all but the other ground stations.
+    """
+    return [
+        node.id
+        for node in graph.nodes
+        if gs_relay or node.id in pair or node.kind != NodeKind.GROUND_STATION
+    ]
 
 
 def _flows_by_commodity(flows: dict[FlowKey, float]) -> dict[int, dict[DirectedEdge, float]]:
@@ -177,15 +187,15 @@ def build_lp(
     Variables: t and d_1..d_k (max-min only), then the flow columns per
     commodity and per link, forward (from the link's lexicographically
     smaller endpoint) before reverse.  A commodity gets the two columns of
-    a link only when it may use both ends; with ``gs_relay=False`` that
-    excludes every link touching a ground station other than its own
-    endpoints, so ground-station transit is never created.
+    a link only when both ends are among its :func:`_usable_nodes`; with
+    ``gs_relay=False`` that excludes every link touching a ground station
+    other than its own endpoints, so ground-station transit is never created.
 
     Constraints: one capacity row per link bounding the sum of both
     directions over all commodities by the pool, and flow conservation at
-    every node per commodity; all variables are nonnegative.  Returns the
-    program and the ``(commodity, directed edge)`` key of every flow
-    column, in column order.
+    every node the commodity may use, per commodity in graph node order;
+    all variables are nonnegative.  Returns the program and the
+    ``(commodity, directed edge)`` key of every flow column, in column order.
     """
     if objective not in ("mmd", "mr"):
         raise ValueError(f"objective must be 'mmd' or 'mr', got {objective!r}")
@@ -200,17 +210,17 @@ def build_lp(
         return LinearProgram(objective=np.zeros(0)), ()
     link_row = {link.endpoints: j for j, link in enumerate(graph.links)}
 
+    rows = itertools.count()  # per commodity, each usable node's conservation row
+    row_of = [{v: next(rows) for v in _usable_nodes(graph, c.pair, gs_relay)} for c in commodities]
+    num_rows = sum(map(len, row_of))
     columns: list[FlowKey] = []
-    for i, commodity in enumerate(commodities):
-        endpoints = set(commodity.pair)
+    for i, usable in enumerate(row_of):
         for a, b in link_row:
-            if all(_transit_allowed(graph, v, endpoints, gs_relay) for v in (a, b)):
+            if a in usable and b in usable:
                 columns += [(i, (a, b)), (i, (b, a))]
     offset = 1 + k if objective == "mmd" else 0
     n = offset + len(columns)
 
-    num_nodes = len(graph.nodes)
-    node_order = {node.id: pos for pos, node in enumerate(graph.nodes)}
     if objective == "mr":
         cost = np.ones(n)
     else:
@@ -218,16 +228,16 @@ def build_lp(
         cost[0] = -1.0  # maximize t
     a_ub = np.zeros((len(link_row) + (k if objective == "mmd" else 0), n))
     b_ub = np.zeros(a_ub.shape[0])
-    a_eq = np.zeros((k * num_nodes, n))
-    b_eq = np.zeros(k * num_nodes)
+    a_eq = np.zeros((num_rows, n))
+    b_eq = np.zeros(num_rows)
     for col, (i, (u, v)) in enumerate(columns, start=offset):
         a_ub[link_row[canonical_pair(u, v)], col] = 1.0
-        a_eq[i * num_nodes + node_order[u], col] += 1.0  # flow out of u
-        a_eq[i * num_nodes + node_order[v], col] -= 1.0  # flow into v
+        a_eq[row_of[i][u], col] += 1.0  # flow out of u
+        a_eq[row_of[i][v], col] -= 1.0  # flow into v
     b_ub[: len(link_row)] = [link.pool_bits for link in graph.links]
     for i, commodity in enumerate(commodities):
-        source_row = i * num_nodes + node_order[commodity.source]
-        sink_row = i * num_nodes + node_order[commodity.sink]
+        source_row = row_of[i][commodity.source]
+        sink_row = row_of[i][commodity.sink]
         if objective == "mmd":
             a_ub[len(link_row) + i, 0] = 1.0  # t - d_i <= 0
             a_ub[len(link_row) + i, 1 + i] = -1.0
@@ -281,25 +291,20 @@ def _min_hop_path(
     usable: Callable[[str, str], bool],
     source: str,
     sink: str,
-    gs_relay: bool = True,
 ) -> Optional[list[str]]:
     """The lexicographically smallest min-hop source->sink path, or None.
 
-    The link u-w may be taken from u when ``usable(u, w)``.  A breadth-first
-    search from the source visits each node's neighbours in sorted order
-    and keeps the first parent it finds, so every node's parent chain is
-    its lexicographically smallest min-hop path.  A node that may not relay
-    (a foreign ground station with ``gs_relay`` off) can end a path but is
-    never expanded.
+    The link u-w may be taken from u when ``usable(u, w)``, which also bars
+    nodes (a foreign ground station under the ban is never entered).  A
+    breadth-first search from the source visits each node's neighbours in
+    sorted order and keeps the first parent it finds, so every node's
+    parent chain is its lexicographically smallest min-hop path.
     """
-    endpoints = {source, sink}
     parents: dict[str, Optional[str]] = {source: None}
     frontier = [source]
     while frontier and sink not in parents:
         next_frontier = []
         for v in frontier:
-            if not _transit_allowed(graph, v, endpoints, gs_relay):
-                continue
             for w in graph._neighbours[v]:
                 if w not in parents and usable(v, w):
                     parents[w] = v
@@ -377,9 +382,10 @@ def _fill(
     """Progressive filling in whole keys over the commodities in ``indices``.
 
     Repeatedly gives one more key to the commodity with the lowest
-    fulfilled demand (ties by index) over its residual min-hop path,
-    retiring the commodity when no path is left or its ``demand_bits`` cap
-    is reached.  Updates ``flows``, ``demands`` and ``residual`` in place.
+    fulfilled demand (ties by index) over its residual min-hop path through
+    its usable nodes, retiring the commodity when no path is left or its
+    ``demand_bits`` cap is reached.  Updates ``flows``, ``demands`` and
+    ``residual`` in place.
 
     That key-by-key sequence is a round-robin over the tied set T (the
     active commodities at the lowest demand, in index order), and r of its
@@ -397,16 +403,18 @@ def _fill(
     """
     caps = [commodity.demand_bits for commodity in commodities]
 
-    def usable(u: str, w: str) -> bool:
-        return residual[canonical_pair(u, w)] >= 1
+    def links_into_usable_nodes(i: int) -> Callable[[str, str], bool]:
+        nodes = set(_usable_nodes(graph, commodities[i].pair, gs_relay))
+        return lambda u, w: w in nodes and residual[canonical_pair(u, w)] >= 1
 
     active = [i for i in indices if caps[i] is None or demands[i] < caps[i]]
+    usable = {i: links_into_usable_nodes(i) for i in active}
     while active:
         level = min(demands[i] for i in active)
         tied = [i for i in active if demands[i] == level]
         paths: dict[int, list[str]] = {}
         for i in tied:
-            path = _min_hop_path(graph, usable, *commodities[i].pair, gs_relay)
+            path = _min_hop_path(graph, usable[i], *commodities[i].pair)
             if path is None:
                 active.remove(i)
             else:
@@ -559,17 +567,17 @@ def verify_solution(
     commodities: Sequence[Commodity],
     solution: FlowSolution,
     *,
-    gs_relay: bool = True,
+    gs_relay: bool,
 ) -> VerificationReport:
     """Independently re-check capacity, nonnegativity, conservation and limits.
 
     Walks the raw flow map without reusing any LP machinery and reports
-    every violating link or (node, commodity) entry.  With
+    every violating link or (node, commodity) entry.  With the required
     ``gs_relay=False`` any positive flow touching a ground station other
     than the commodity's endpoints is a violation, reported once per
-    commodity and station; a commodity with
-    ``demand_bits`` set may not be delivered more than that.  Flows of a
-    commodity index outside ``commodities`` are reported once per index.
+    commodity and station; a commodity with ``demand_bits`` set may not be
+    delivered more than that.  Flows of a commodity index outside
+    ``commodities`` are reported once per index.
     """
     commodities = tuple(commodities)
     violations: list[str] = []

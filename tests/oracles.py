@@ -239,9 +239,17 @@ def mr_integral_optimum(
 def _residual_path(
     graph: QkdGraph, residual: dict[tuple[str, str], int], source: str, sink: str, gs_relay: bool
 ) -> Optional[list[str]]:
-    """The router's min-hop path over the links whose residual pool is >= 1."""
+    """The router's min-hop path over the links whose residual pool is >= 1.
+
+    With ``gs_relay`` off, no hop may enter a ground station other than
+    ``source`` and ``sink``.
+    """
+    barred = set() if gs_relay else set(graph.ground_stations()) - {source, sink}
     return _min_hop_path(
-        graph, lambda u, w: residual[canonical_pair(u, w)] >= 1, source, sink, gs_relay
+        graph,
+        lambda u, w: w not in barred and residual[canonical_pair(u, w)] >= 1,
+        source,
+        sink,
     )
 
 
@@ -552,11 +560,20 @@ class InsufficientKeysError(ValueError):
     """A consume operation would overdraw a link's key pool."""
 
 
+def link_of(graph: QkdGraph, a: str, b: str) -> Link:
+    """The link between ``a`` and ``b`` in either order; KeyError if there is none."""
+    pair = canonical_pair(a, b)
+    for link in graph.links:
+        if link.endpoints == pair:
+            return link
+    raise KeyError(f"no link between {a!r} and {b!r}")
+
+
 def consume(graph: QkdGraph, endpoints: tuple[str, str], bits: int) -> QkdGraph:
     """Draw ``bits`` from one link's pool; overdraw raises, naming the link."""
     if bits < 0 or bits != int(bits):
         raise ValueError(f"consumed bits must be a nonnegative integer, got {bits}")
-    target = graph.link_between(*endpoints)
+    target = link_of(graph, *endpoints)
     if bits > target.pool_bits:
         raise InsufficientKeysError(
             f"link {target.a}-{target.b} holds {target.pool_bits} bits, "

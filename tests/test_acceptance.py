@@ -201,7 +201,7 @@ def test_constraint_suite():
         graph, pairs = random_instance(rng, max_paths=None)
         total = sum(link.pool_bits for link in graph.links) + 1
         mmd = route_mmd(graph, pairs)
-        assert verify_solution(graph, mmd.commodities, mmd).ok
+        assert verify_solution(graph, mmd.commodities, mmd, gs_relay=True).ok
         runs += 1
         if runs >= 1000:
             break
@@ -210,12 +210,12 @@ def test_constraint_suite():
         ]
         mr = route_mr(graph, requests)
         assert mr.status is LpStatus.OPTIMAL
-        assert verify_solution(graph, mr.commodities, mr).ok
+        assert verify_solution(graph, mr.commodities, mr, gs_relay=True).ok
         runs += 1
         if runs >= 1000:
             break
         dijkstra = route_sequential_dijkstra(graph, [(a, b, total) for a, b in pairs])
-        assert verify_solution(graph, dijkstra.commodities, dijkstra).ok
+        assert verify_solution(graph, dijkstra.commodities, dijkstra, gs_relay=True).ok
         runs += 1
     report(f"constraint suite: {runs} randomized runs all verified", True)
 

@@ -146,8 +146,27 @@ class TestBuildLp:
         assert [edge for i, edge in columns if i == 1] == [
             ("a", "s1"), ("s1", "a"), ("c", "s1"), ("s1", "c"), ("c", "s2"), ("s2", "c"),
         ]
-        _, relayed = build_lp(relay_graph, commodities, "mmd", gs_relay=True)
+
+        def conservation_row(i, node):
+            row = [0.0] * lp_ban.num_variables
+            for col, (j, (u, v)) in enumerate(columns, start=3):
+                if j == i:
+                    row[col] = (u == node) - (v == node)  # flow out minus flow in
+            if node in commodities[i].pair:
+                row[1 + i] = -1.0 if node == commodities[i].source else 1.0
+            return row
+
+        # and a conservation row only at each node it may use, in graph node order
+        assert [node.id for node in relay_graph.nodes] == ["a", "b", "c", "s1", "s2"]
+        assert lp_ban.a_eq.tolist() == [
+            conservation_row(i, node)
+            for i, usable in enumerate([("a", "b", "s1", "s2"), ("a", "c", "s1", "s2")])
+            for node in usable
+        ]
+        assert lp_ban.b_eq.tolist() == [0.0] * 8
+        relayed_lp, relayed = build_lp(relay_graph, commodities, "mmd", gs_relay=True)
         assert len(relayed) == 2 * 2 * 4
+        assert relayed_lp.a_eq.shape == (2 * 5, 1 + 2 + len(relayed))
 
     def test_options_are_keyword_only(self):
         commodities = [Commodity("g1", "g2", demand_bits=3)]
@@ -179,8 +198,10 @@ class TestMinHopPath:
                         if all(hop in usable for hop in zip(path, path[1:]))
                     ]
                     expected = min(paths, key=lambda path: (len(path), path), default=None)
+                    # the ban enters the search only through the hop predicate
+                    barred = set() if gs_relay else set(graph.ground_stations()) - {source, sink}
                     found = router._min_hop_path(
-                        graph, lambda u, w: (u, w) in usable, source, sink, gs_relay
+                        graph, lambda u, w: (u, w) in usable and w not in barred, source, sink
                     )
                     assert found == expected, f"case {case}: {source}->{sink}"
                     found_paths += found is not None
@@ -224,7 +245,7 @@ class TestGreedyRound:
         rounded = greedy_round(graph, fractional, gs_relay=True)
         assert rounded.demands == (6.0,)
         assert rounded.integral
-        assert verify_solution(graph, commodities, rounded).ok
+        assert verify_solution(graph, commodities, rounded, gs_relay=True).ok
 
     def test_caps_stop_the_top_up(self):
         graph = diamond_pools(3)
@@ -306,7 +327,7 @@ class TestRouteMmd:
         assert solution.min_demand == 600.0
         # the cut bound certifies 600 is optimal, not just achieved
         assert mmd_cut_bound(fig3like, list(gs_pairs(fig3like))) == pytest.approx(600.0)
-        assert verify_solution(fig3like, solution.commodities, solution).ok
+        assert verify_solution(fig3like, solution.commodities, solution, gs_relay=True).ok
 
     def test_fig3like_near_triple(self, fig3like):
         pairs = [("A", "B"), ("A", "C"), ("B", "C")]
@@ -340,7 +361,7 @@ class TestRouteMr:
         assert solution.demands == tuple(600.0 for _ in requests)
         assert solution.total_flow == 15600.0  # frozen; must stay >= 2 bits/bit
         assert solution.consumption_rate == pytest.approx(2.6)
-        assert verify_solution(fig3like, solution.commodities, solution).ok
+        assert verify_solution(fig3like, solution.commodities, solution, gs_relay=True).ok
 
     def test_zero_demand_is_free(self):
         solution = route_mr(line_pools(), [("g1", "g2", 0)])
@@ -396,7 +417,7 @@ class TestSequentialDijkstra:
     def test_solution_verifies(self, fig3like):
         requests = [(a, b, 600) for a, b in gs_pairs(fig3like)]
         solution = route_sequential_dijkstra(fig3like, requests)
-        assert verify_solution(fig3like, solution.commodities, solution).ok
+        assert verify_solution(fig3like, solution.commodities, solution, gs_relay=True).ok
 
     @pytest.mark.parametrize("gs_relay", [True, False])
     @pytest.mark.parametrize("scale", [1, 7, 50, 300])
@@ -437,6 +458,12 @@ class TestGsRelayFlag:
         with pytest.raises(TypeError):
             greedy_round(relay_graph, fractional)
 
+    def test_verification_needs_the_ban_setting(self, relay_graph):
+        # leaving gs_relay out must not silently skip the transit-ban check
+        through_c = route_mmd(relay_graph, [("a", "b")], gs_relay=True)
+        with pytest.raises(TypeError):
+            verify_solution(relay_graph, through_c.commodities, through_c)
+
     def test_banned_rounding_tops_up_nothing_through_c(self, relay_graph):
         # the LP delivers 0; a top-up without the ban would ship 10 keys via c
         fractional = solve_fractional(relay_graph, [Commodity("a", "b")], "mmd", gs_relay=False)
@@ -467,7 +494,7 @@ class TestVerifySolution:
             demands=(5.0,),
             objective=5.0,
         )
-        assert verify_solution(graph, commodities, detour).ok
+        assert verify_solution(graph, commodities, detour, gs_relay=True).ok
         report = verify_solution(graph, commodities, detour, gs_relay=False)
         assert not report.ok
         assert any("transits ground station c" in v for v in report.violations)
@@ -490,11 +517,11 @@ class TestVerifySolution:
             demands=(4.0,),
             objective=8.0,
         )
-        report = verify_solution(graph, commodities, bogus)
+        report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert not report.ok
         assert any("delivers 4 > requested 3" in v for v in report.violations)
         exact = route_mr(graph, [("g1", "g2", 3)])
-        assert verify_solution(graph, commodities, exact).ok
+        assert verify_solution(graph, commodities, exact, gs_relay=True).ok
 
     def test_tampered_conservation_detected(self, fig3like):
         solution = route_mmd(fig3like, [("A", "B")])
@@ -508,7 +535,7 @@ class TestVerifySolution:
             demands=solution.demands,
             objective=solution.objective,
         )
-        report = verify_solution(fig3like, solution.commodities, tampered)
+        report = verify_solution(fig3like, solution.commodities, tampered, gs_relay=True)
         assert not report.ok
         assert any("conservation" in v and "leo1" in v for v in report.violations)
 
@@ -523,7 +550,7 @@ class TestVerifySolution:
             demands=(7.0,),
             objective=14.0,
         )
-        report = verify_solution(graph, commodities, bogus)
+        report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert not report.ok
         assert any("capacity exceeded on link g2-s1" in v for v in report.violations)
 
@@ -538,7 +565,7 @@ class TestVerifySolution:
             demands=(-1.0,),
             objective=0.0,
         )
-        report = verify_solution(graph, commodities, bogus)
+        report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert any("negative flow" in v for v in report.violations)
 
     def test_unknown_edge_detected(self):
@@ -552,7 +579,7 @@ class TestVerifySolution:
             demands=(0.0,),
             objective=1.0,
         )
-        report = verify_solution(graph, commodities, bogus)
+        report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert any("nonexistent link" in v for v in report.violations)
 
     def test_flow_on_nonexistent_link_counts_for_conservation(self):
@@ -568,7 +595,7 @@ class TestVerifySolution:
             demands=(1.0,),
             objective=1.0,
         )
-        report = verify_solution(graph, commodities, bogus)
+        report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert report.violations == ("flow on nonexistent link g1-g2 (commodity 0)",)
 
     def test_unknown_commodity_reported_once_per_index(self):
@@ -582,7 +609,7 @@ class TestVerifySolution:
             demands=(0.0,),
             objective=0.0,
         )
-        report = verify_solution(graph, commodities, bogus)
+        report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert report.violations == ("flow references unknown commodity index 3",)
 
 
@@ -649,14 +676,15 @@ class TestRandomizedProperties:
         for case in range(60):
             graph, pairs = random_instance(rng, max_paths=None)
             mmd = route_mmd(graph, pairs)
-            assert verify_solution(graph, mmd.commodities, mmd).ok, f"case {case}"
+            assert verify_solution(graph, mmd.commodities, mmd, gs_relay=True).ok, f"case {case}"
             assert mmd.integral, f"case {case}"
             requests = [(c.source, c.sink, int(d)) for c, d in zip(mmd.commodities, mmd.demands)]
             mr = route_mr(graph, requests)
             assert mr.status is LpStatus.OPTIMAL, f"case {case}"
-            assert verify_solution(graph, mr.commodities, mr).ok, f"case {case}"
+            assert verify_solution(graph, mr.commodities, mr, gs_relay=True).ok, f"case {case}"
             dijkstra = route_sequential_dijkstra(graph, requests)
-            assert verify_solution(graph, dijkstra.commodities, dijkstra).ok, f"case {case}"
+            report = verify_solution(graph, dijkstra.commodities, dijkstra, gs_relay=True)
+            assert report.ok, f"case {case}"
 
     def test_mmd_dominates_sequential_baseline(self):
         rng = random.Random(31415)
