@@ -15,7 +15,6 @@ from .decoy import (
     DegenerateChannelError,
     SinglePhotonBounds,
     binary_entropy,
-    forward_key_rate,
     forward_observables,
     gain_and_qber,
     secret_key_rate,
@@ -24,7 +23,6 @@ from .decoy import (
 from .linkbudget import (
     PRESETS,
     FsoLinkParams,
-    LinkClass,
     LinkPerformance,
     NearFieldError,
     db_to_factor,
@@ -34,7 +32,6 @@ from .linkbudget import (
     link_performance,
     preset_link,
     total_attenuation,
-    transmittance,
 )
 from .lp import LinearProgram, LpSolution, LpStatus, solve
 from .netmodel import (
@@ -58,7 +55,6 @@ from .router import (
     route_mmd,
     route_mr,
     route_sequential_dijkstra,
-    solution_from_csv,
     solution_to_csv,
     solve_fractional,
     verify_solution,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 from importlib import resources
@@ -55,6 +56,7 @@ class SystemExit2(Exception):
         self.message = message
 
 
+@functools.cache  # argparse builds a help formatter per flag; build once per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qkdplan", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,6 +8,7 @@ bounds, and the resulting secret-key rate lower bound.
 All functions are pure and operate on plain floats; the channel enters
 only through the end-to-end single-photon detection probability ``delta``
 (receiver efficiency included), which the link-budget module provides.
+``linkbudget.link_performance`` chains these steps into a key rate.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ __all__ = [
     "single_photon_bounds",
     "secret_key_rate",
     "forward_observables",
-    "forward_key_rate",
 ]
 
 class DegenerateChannelError(ValueError):
@@ -189,22 +189,3 @@ def forward_observables(
     q_mu, e_mu = gain_and_qber(params.mu, delta, params)
     q_nu, e_nu = gain_and_qber(params.nu, delta, params)
     return ChannelObservables(q_mu=q_mu, e_mu=e_mu, q_nu=q_nu, e_nu=e_nu)
-
-
-def forward_key_rate(
-    delta: float, params: DecoyProtocolParams = DEFAULT_PROTOCOL
-) -> float:
-    """End-to-end modelled key rate (bits/s) for a channel of transmittance delta.
-
-    Collapsed bounds are reported as a rate of zero rather than an error.
-    """
-    return _observed_key_rate(forward_observables(delta, params), params)
-
-
-def _observed_key_rate(obs: ChannelObservables, params: DecoyProtocolParams) -> float:
-    """Key rate (bits/s) from modelled observables; collapsed bounds give 0."""
-    try:
-        bounds = single_photon_bounds(obs, params)
-    except BoundCollapseError:
-        return 0.0
-    return secret_key_rate(obs, bounds, params)

@@ -13,13 +13,16 @@ theta_atm = lambda / r0 the turbulence divergence (zero when no Fried
 parameter is configured; large receive telescopes average scintillation
 out).  The pointing loss is configured in dB and enters as the fractional
 power loss 1 - L_P = 10^(-dB/10).  Total attenuation multiplies in the
-aggregate atmospheric loss and the detector inefficiency.
+aggregate atmospheric loss and the detector inefficiency;
+:func:`link_performance` carries the budget on to the secret-key rate.
 
-Three named presets cover the usual link classes (``leo-gs``, ``geo-gs``,
-``leo-leo``).  Note on the inter-satellite class: its commonly quoted
-reference gain corresponds to a budget without the detector-efficiency
-factor; with the 0.65 detector kept in (as this preset does, consistent
-with the other classes) the modelled signal gain sits about 35% lower.
+``PRESETS`` holds the parameters of three link classes (``leo-gs``,
+``geo-gs``, ``leo-leo``); :func:`preset_link` overrides any field of them,
+the distance included.  Note on the inter-satellite class: its commonly
+quoted reference gain corresponds to a budget without the detector
+efficiency; with the 0.65 detector kept in (as this preset does,
+consistent with the other classes) the modelled signal gain sits about
+35% lower.
 """
 from __future__ import annotations
 
@@ -27,11 +30,11 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .decoy import DEFAULT_PROTOCOL, DecoyProtocolParams, _observed_key_rate, forward_observables
+from .decoy import DEFAULT_PROTOCOL, BoundCollapseError, DecoyProtocolParams, forward_observables
+from .decoy import secret_key_rate, single_photon_bounds
 
 __all__ = [
     "FsoLinkParams",
-    "LinkClass",
     "LinkPerformance",
     "NearFieldError",
     "PRESETS",
@@ -39,7 +42,6 @@ __all__ = [
     "far_field_check",
     "diffraction_loss",
     "total_attenuation",
-    "transmittance",
     "db_to_factor",
     "factor_to_db",
     "link_performance",
@@ -132,89 +134,51 @@ def total_attenuation(params: FsoLinkParams) -> float:
     )
 
 
-def transmittance(params: FsoLinkParams) -> float:
-    """End-to-end single-photon detection probability, 1 / total_attenuation."""
-    return 1.0 / total_attenuation(params)
-
-
-@dataclass(frozen=True)
-class LinkClass:
-    """A named link class: default physical parameters plus its distance window."""
-
-    name: str
-    params: FsoLinkParams
-    distance_min_m: float
-    distance_max_m: float
-
-
-PRESETS: dict[str, LinkClass] = {
-    "leo-gs": LinkClass(
-        name="leo-gs",
-        params=FsoLinkParams(
-            wavelength_m=850e-9,
-            tx_aperture_m=0.30,
-            rx_aperture_m=1.00,
-            tx_factor=0.8,
-            rx_factor=0.8,
-            pointing_loss_db=7.0,
-            atm_loss_db=2.0,  # aggregate slant-path absorption + scattering
-            rx_efficiency=0.65,
-            distance_m=1000e3,
-        ),
-        distance_min_m=800e3,
-        distance_max_m=1200e3,
+PRESETS: dict[str, FsoLinkParams] = {
+    "leo-gs": FsoLinkParams(
+        wavelength_m=850e-9,
+        tx_aperture_m=0.30,
+        rx_aperture_m=1.00,
+        tx_factor=0.8,
+        rx_factor=0.8,
+        pointing_loss_db=7.0,
+        atm_loss_db=2.0,  # aggregate slant-path absorption + scattering
+        rx_efficiency=0.65,
+        distance_m=1000e3,
     ),
-    "geo-gs": LinkClass(
-        name="geo-gs",
-        params=FsoLinkParams(
-            wavelength_m=650e-9,
-            tx_aperture_m=0.30,
-            rx_aperture_m=1.00,
-            tx_factor=0.8,
-            rx_factor=0.8,
-            pointing_loss_db=1.0,
-            atm_loss_db=1.0,
-            rx_efficiency=0.65,
-            distance_m=39000e3,
-        ),
-        distance_min_m=36000e3,
-        distance_max_m=42000e3,
+    "geo-gs": FsoLinkParams(
+        wavelength_m=650e-9,
+        tx_aperture_m=0.30,
+        rx_aperture_m=1.00,
+        tx_factor=0.8,
+        rx_factor=0.8,
+        pointing_loss_db=1.0,
+        atm_loss_db=1.0,
+        rx_efficiency=0.65,
+        distance_m=39000e3,
     ),
-    "leo-leo": LinkClass(
-        name="leo-leo",
-        params=FsoLinkParams(
-            wavelength_m=1550e-9,
-            tx_aperture_m=0.30,
-            rx_aperture_m=0.30,
-            tx_factor=0.8,
-            rx_factor=0.8,
-            pointing_loss_db=3.0,
-            atm_loss_db=0.0,  # exo-atmospheric path
-            rx_efficiency=0.65,
-            distance_m=4000e3,
-        ),
-        distance_min_m=4000e3,
-        distance_max_m=4000e3,
+    "leo-leo": FsoLinkParams(
+        wavelength_m=1550e-9,
+        tx_aperture_m=0.30,
+        rx_aperture_m=0.30,
+        tx_factor=0.8,
+        rx_factor=0.8,
+        pointing_loss_db=3.0,
+        atm_loss_db=0.0,  # exo-atmospheric path
+        rx_efficiency=0.65,
+        distance_m=4000e3,
     ),
 }
 
 
-def preset_link(name: str, distance_m: Optional[float] = None, **overrides) -> FsoLinkParams:
-    """Instantiate a preset's parameters, optionally at another distance.
-
-    Keyword overrides replace individual :class:`FsoLinkParams` fields.
-    """
+def preset_link(name: str, **overrides) -> FsoLinkParams:
+    """A preset's parameters with keyword overrides of any field, ``distance_m`` included."""
     try:
-        link_class = PRESETS[name]
+        params = PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise KeyError(f"unknown link preset {name!r}; known presets: {known}") from None
-    params = link_class.params
-    if distance_m is not None:
-        params = replace(params, distance_m=distance_m)
-    if overrides:
-        params = replace(params, **overrides)
-    return params
+    return replace(params, **overrides)
 
 
 @dataclass(frozen=True)
@@ -233,10 +197,14 @@ class LinkPerformance:
 def link_performance(
     params: FsoLinkParams, protocol: DecoyProtocolParams = DEFAULT_PROTOCOL
 ) -> LinkPerformance:
-    """Run the full chain link budget -> observables -> secret-key rate."""
+    """Run the full chain link budget -> observables -> secret-key rate (0 if bounds collapse)."""
     loss = total_attenuation(params)
     delta = 1.0 / loss
     obs = forward_observables(delta, protocol)
+    try:
+        rate_bps = secret_key_rate(obs, single_photon_bounds(obs, protocol), protocol)
+    except BoundCollapseError:
+        rate_bps = 0.0
     return LinkPerformance(
         attenuation_db=factor_to_db(loss),
         transmittance=delta,
@@ -244,5 +212,5 @@ def link_performance(
         e_mu=obs.e_mu,
         q_nu=obs.q_nu,
         e_nu=obs.e_nu,
-        rate_bps=_observed_key_rate(obs, protocol),
+        rate_bps=rate_bps,
     )

@@ -253,7 +253,8 @@ def _parse_link(entry: dict, where: str) -> Link:
         f"{where}.distance_m",
         f"expected a finite positive number, got {distance!r}",
     )
-    params = linkbudget.preset_link(preset, distance_m=distance)
+    overrides = {} if distance is None else {"distance_m": distance}
+    params = linkbudget.preset_link(preset, **overrides)
     try:
         rate = linkbudget.link_performance(params).rate_bps
     except linkbudget.NearFieldError as exc:

@@ -19,14 +19,16 @@ each ship one more key, in index order, along their residual paths until
 no commodity can grow; every stretch of identical rounds is applied in
 one step.  The baseline runs the same filling for one request at a time.
 
-One node list per commodity (:func:`_usable_nodes`; with ``gs_relay`` off
-it leaves out the ground stations other than the commodity's endpoints)
+Every entry point requires ``gs_relay`` by keyword.  One node list per
+commodity (:func:`_usable_nodes`; with ``gs_relay`` off it leaves out the
+ground stations other than the commodity's endpoints)
 gives the commodity its conservation rows, its two directed flow variables
 per link with both ends usable, and the nodes its path searches may enter.
 A link's single pool caps the sum of both directions over all commodities,
 because the shared secret bits on a link are usable either way.  All
 tie-breaking is deterministic (commodity index, then lexicographic node
-ids), so identical inputs give identical plans.
+ids), so identical inputs give identical plans.  The CSV export has no
+reader here; the tests hold the reference one.
 """
 from __future__ import annotations
 
@@ -55,13 +57,11 @@ __all__ = [
     "route_sequential_dijkstra",
     "verify_solution",
     "solution_to_csv",
-    "solution_from_csv",
 ]
 
 _FLOW_EPS = 1e-9
 _FLOOR_EPS = 1e-6
 _VERIFY_TOL = 1e-6  # relative slack of the verifier's capacity and conservation checks
-_CSV_SUM_TOL = 1e-9  # relative slack when flow rows add up to a summary's consumed value
 
 DirectedEdge = tuple[str, str]
 FlowKey = tuple[int, DirectedEdge]
@@ -175,7 +175,7 @@ def build_lp(
     commodities: Sequence[Commodity],
     objective: str,
     *,
-    gs_relay: bool = True,
+    gs_relay: bool,
 ) -> tuple[LinearProgram, tuple[FlowKey, ...]]:
     """Encode the flow problem as a linear program.
 
@@ -256,7 +256,7 @@ def solve_fractional(
     commodities: Sequence[Commodity],
     objective: str,
     *,
-    gs_relay: bool = True,
+    gs_relay: bool,
 ) -> FlowSolution:
     """Solve the flow LP and decode it, without the integral rounding stage."""
     commodities = tuple(commodities)
@@ -485,17 +485,15 @@ def greedy_round(
 
 def route_mmd(
     graph: QkdGraph,
-    pairs: Optional[Iterable[tuple[str, str]]] = None,
+    pairs: Iterable[tuple[str, str]],
     *,
-    gs_relay: bool = True,
+    gs_relay: bool,
 ) -> FlowSolution:
     """Maximize the minimum fulfilled demand over ground-station pairs.
 
-    One variable-demand commodity per unordered pair (all pairs when
-    ``pairs`` is omitted); solves the max-min LP, then rounds greedily.
+    One variable-demand commodity per pair (:func:`gs_pairs` gives all of
+    them); solves the max-min LP, then rounds greedily.
     """
-    if pairs is None:
-        pairs = gs_pairs(graph)
     commodities = [Commodity(source=a, sink=b) for a, b in pairs]
     fractional = solve_fractional(graph, commodities, "mmd", gs_relay=gs_relay)
     return greedy_round(graph, fractional, gs_relay=gs_relay)
@@ -505,7 +503,7 @@ def route_mr(
     graph: QkdGraph,
     requests: Sequence[tuple[str, str, int]],
     *,
-    gs_relay: bool = True,
+    gs_relay: bool,
 ) -> FlowSolution:
     """Fulfill fixed requests with the least total key consumption.
 
@@ -525,7 +523,7 @@ def route_sequential_dijkstra(
     graph: QkdGraph,
     requests: Sequence[tuple[str, str, int]],
     *,
-    gs_relay: bool = True,
+    gs_relay: bool,
 ) -> FlowSolution:
     """Serve requests one at a time over min-hop paths (the baseline).
 
@@ -577,10 +575,13 @@ def verify_solution(
     than the commodity's endpoints is a violation, reported once per
     commodity and station; a commodity with ``demand_bits`` set may not be
     delivered more than that.  Flows of a commodity index outside
-    ``commodities`` are reported once per index.
+    ``commodities`` are reported once per index.  The plan must give one
+    finite, nonnegative demand per commodity, and every flow must be finite.
     """
-    commodities = tuple(commodities)
+    commodities, demands = tuple(commodities), solution.demands
     violations: list[str] = []
+    if len(demands) != len(commodities):
+        violations.append(f"demand count {len(demands)} != commodity count {len(commodities)}")
     transits: set[tuple[int, str]] = set()  # (commodity, foreign ground station)
     unknown: set[int] = set()  # commodity indices that name no commodity
 
@@ -593,6 +594,9 @@ def verify_solution(
             if i not in unknown:
                 unknown.add(i)
                 violations.append(f"flow references unknown commodity index {i}")
+            continue
+        if not math.isfinite(value):
+            violations.append(f"non-finite flow {value} on {a}->{b} (commodity {i})")
             continue
         if a in net[i] and b in net[i]:
             net[i][a] += value
@@ -625,7 +629,9 @@ def verify_solution(
             )
 
     for i, commodity in enumerate(commodities):
-        demand = solution.demands[i] if i < len(solution.demands) else 0.0
+        demand = demands[i] if i < len(demands) else 0.0
+        if not (math.isfinite(demand) and demand >= 0):
+            violations.append(f"commodity {i} demand {demand} is not a finite number >= 0")
         for node in graph.nodes:
             expected = 0.0
             if node.id == commodity.source:
@@ -648,17 +654,10 @@ def verify_solution(
     return VerificationReport(ok=not violations, violations=tuple(violations))
 
 
-# --- CSV export / import ------------------------------------------------------
+# --- CSV export ------------------------------------------------------
 
 def _format_number(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
-
-
-def _parse_number(text: str) -> float:
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
 
 
 def solution_to_csv(solution: FlowSolution) -> str:
@@ -704,61 +703,3 @@ def solution_to_csv(solution: FlowSolution) -> str:
             ]
         )
     return buffer.getvalue()
-
-
-def solution_from_csv(text: str) -> FlowSolution:
-    """Rebuild a FlowSolution from :func:`solution_to_csv` output."""
-    sections: list[list[list[str]]] = [[]]
-    for row in csv.reader(io.StringIO(text)):
-        if not row:
-            sections.append([])
-        else:
-            sections[-1].append(row)
-    sections = [s for s in sections if s]
-    if len(sections) != 3:
-        raise ValueError(f"expected 3 CSV sections, found {len(sections)}")
-    header, flow_rows, summary_rows = sections
-
-    if header[0] != ["kind", "status", "objective"] or len(header) != 2:
-        raise ValueError("malformed solution header section")
-    kind, status_text, objective_text = header[1]
-    status = LpStatus(status_text)
-    objective = None if objective_text == "" else float(_parse_number(objective_text))
-
-    if summary_rows[0] != ["pair", "fulfilled_demand", "consumed", "consumption_rate"]:
-        raise ValueError("malformed summary section")
-    commodities = []
-    demands = []
-    consumed = []
-    for row in summary_rows[1:]:
-        src, dst = row[0].split("->", 1)
-        commodities.append(Commodity(source=src, sink=dst))
-        demands.append(float(_parse_number(row[1])))
-        consumed.append(float(_parse_number(row[2])))
-
-    if flow_rows[0] != ["commodity_src", "commodity_dst", "edge_from", "edge_to", "bits"]:
-        raise ValueError("malformed flows section")
-    # Rows come grouped in commodity order and a commodity's rows add up to
-    # its consumed value, so a commodity's block ends once that sum is
-    # reached; this also splits two commodities that share a pair.
-    flows: dict[FlowKey, float] = {}
-    cursor = 0
-    total = 0.0
-    for src, dst, edge_from, edge_to, bits in flow_rows[1:]:
-        while cursor < len(commodities) and total >= consumed[cursor] * (1 - _CSV_SUM_TOL):
-            cursor += 1
-            total = 0.0
-        if cursor >= len(commodities) or commodities[cursor].pair != (src, dst):
-            raise ValueError(f"flow row {src}->{dst} does not match the summary's consumed bits")
-        value = float(_parse_number(bits))
-        flows[(cursor, (edge_from, edge_to))] = value
-        total += value
-
-    return FlowSolution(
-        kind=kind,
-        status=status,
-        commodities=tuple(commodities),
-        flows=flows,
-        demands=tuple(demands),
-        objective=objective,
-    )

@@ -14,10 +14,15 @@ reduced-cost product in every phase, which ``lp.solve`` must equal.
 The reference models check the planner's assumptions from first principles:
 drawing bits from one link's pool, trusted-relay forwarding with
 hop-by-hop XOR, and gains/QBERs summed over photon numbers from the
-per-photon-number statistics, yields and error rates.
+per-photon-number statistics, yields and error rates.  ``transmittance``
+and ``forward_key_rate`` are the rate model's steps taken one at a time,
+which ``linkbudget.link_performance`` must equal, and ``solution_from_csv``
+reads ``router.solution_to_csv`` output back for the round-trip checks.
 """
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import random
@@ -30,9 +35,14 @@ import numpy as np
 from qkdplan import lp as lp_module
 from qkdplan.decoy import (
     DEFAULT_PROTOCOL,
+    BoundCollapseError,
     DecoyProtocolParams,
     DegenerateChannelError,
+    forward_observables,
+    secret_key_rate,
+    single_photon_bounds,
 )
+from qkdplan.linkbudget import FsoLinkParams, total_attenuation
 from qkdplan.lp import LinearProgram, LpSolution, LpStatus
 from qkdplan.netmodel import Link, Node, NodeKind, QkdGraph, canonical_pair
 from qkdplan.router import (
@@ -707,3 +717,96 @@ def gain_and_qber_series(
             "gain is zero (vacuum input and no background); QBER undefined"
         )
     return gain, errors / gain
+
+
+# --- rate model, one step at a time -------------------------------------------
+
+
+def transmittance(params: FsoLinkParams) -> float:
+    """End-to-end single-photon detection probability, 1 / total_attenuation."""
+    return 1.0 / total_attenuation(params)
+
+
+def forward_key_rate(
+    delta: float, params: DecoyProtocolParams = DEFAULT_PROTOCOL
+) -> float:
+    """End-to-end modelled key rate (bits/s) for a channel of transmittance delta.
+
+    Collapsed bounds are reported as a rate of zero rather than an error.
+    """
+    obs = forward_observables(delta, params)
+    try:
+        bounds = single_photon_bounds(obs, params)
+    except BoundCollapseError:
+        return 0.0
+    return secret_key_rate(obs, bounds, params)
+
+
+# --- CSV reader ------------------------------------------------------------------
+
+_CSV_SUM_TOL = 1e-9  # relative slack when flow rows add up to a summary's consumed value
+
+
+def _parse_number(text: str) -> float:
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def solution_from_csv(text: str) -> FlowSolution:
+    """Rebuild a FlowSolution from :func:`qkdplan.router.solution_to_csv` output."""
+    sections: list[list[list[str]]] = [[]]
+    for row in csv.reader(io.StringIO(text)):
+        if not row:
+            sections.append([])
+        else:
+            sections[-1].append(row)
+    sections = [s for s in sections if s]
+    if len(sections) != 3:
+        raise ValueError(f"expected 3 CSV sections, found {len(sections)}")
+    header, flow_rows, summary_rows = sections
+
+    if header[0] != ["kind", "status", "objective"] or len(header) != 2:
+        raise ValueError("malformed solution header section")
+    kind, status_text, objective_text = header[1]
+    status = LpStatus(status_text)
+    objective = None if objective_text == "" else float(_parse_number(objective_text))
+
+    if summary_rows[0] != ["pair", "fulfilled_demand", "consumed", "consumption_rate"]:
+        raise ValueError("malformed summary section")
+    commodities = []
+    demands = []
+    consumed = []
+    for row in summary_rows[1:]:
+        src, dst = row[0].split("->", 1)
+        commodities.append(Commodity(source=src, sink=dst))
+        demands.append(float(_parse_number(row[1])))
+        consumed.append(float(_parse_number(row[2])))
+
+    if flow_rows[0] != ["commodity_src", "commodity_dst", "edge_from", "edge_to", "bits"]:
+        raise ValueError("malformed flows section")
+    # Rows come grouped in commodity order and a commodity's rows add up to
+    # its consumed value, so a commodity's block ends once that sum is
+    # reached; this also splits two commodities that share a pair.
+    flows: dict[FlowKey, float] = {}
+    cursor = 0
+    total = 0.0
+    for src, dst, edge_from, edge_to, bits in flow_rows[1:]:
+        while cursor < len(commodities) and total >= consumed[cursor] * (1 - _CSV_SUM_TOL):
+            cursor += 1
+            total = 0.0
+        if cursor >= len(commodities) or commodities[cursor].pair != (src, dst):
+            raise ValueError(f"flow row {src}->{dst} does not match the summary's consumed bits")
+        value = float(_parse_number(bits))
+        flows[(cursor, (edge_from, edge_to))] = value
+        total += value
+
+    return FlowSolution(
+        kind=kind,
+        status=status,
+        commodities=tuple(commodities),
+        flows=flows,
+        demands=tuple(demands),
+        objective=objective,
+    )

@@ -200,7 +200,7 @@ def test_constraint_suite():
     while runs < 1000:
         graph, pairs = random_instance(rng, max_paths=None)
         total = sum(link.pool_bits for link in graph.links) + 1
-        mmd = route_mmd(graph, pairs)
+        mmd = route_mmd(graph, pairs, gs_relay=True)
         assert verify_solution(graph, mmd.commodities, mmd, gs_relay=True).ok
         runs += 1
         if runs >= 1000:
@@ -208,13 +208,15 @@ def test_constraint_suite():
         requests = [
             (c.source, c.sink, int(d)) for c, d in zip(mmd.commodities, mmd.demands)
         ]
-        mr = route_mr(graph, requests)
+        mr = route_mr(graph, requests, gs_relay=True)
         assert mr.status is LpStatus.OPTIMAL
         assert verify_solution(graph, mr.commodities, mr, gs_relay=True).ok
         runs += 1
         if runs >= 1000:
             break
-        dijkstra = route_sequential_dijkstra(graph, [(a, b, total) for a, b in pairs])
+        dijkstra = route_sequential_dijkstra(
+            graph, [(a, b, total) for a, b in pairs], gs_relay=True
+        )
         assert verify_solution(graph, dijkstra.commodities, dijkstra, gs_relay=True).ok
         runs += 1
     report(f"constraint suite: {runs} randomized runs all verified", True)
@@ -222,9 +224,9 @@ def test_constraint_suite():
 
 def grouping_run(graph, pairs):
     """Max-min demand for the group, then min-resource at that demand."""
-    mmd = route_mmd(graph, pairs)
+    mmd = route_mmd(graph, pairs, gs_relay=True)
     level = int(mmd.min_demand)
-    mr = route_mr(graph, [(a, b, level) for a, b in pairs])
+    mr = route_mr(graph, [(a, b, level) for a, b in pairs], gs_relay=True)
     assert mr.status is LpStatus.OPTIMAL
     return level, mr.total_flow, mr.consumption_rate
 
@@ -237,7 +239,7 @@ def test_consumption_rate_bound(fig3like):
     _, _, rate_far = grouping_run(fig3like, [("A", "D")])
 
     per_pair_ok = True
-    mr = route_mr(fig3like, [(a, b, level) for a, b in all_pairs])
+    mr = route_mr(fig3like, [(a, b, level) for a, b in all_pairs], gs_relay=True)
     consumed = mr.consumed_per_commodity()
     for i, commodity in enumerate(mr.commodities):
         delivered = mr.demands[i]
@@ -258,17 +260,19 @@ def test_baseline_dominance(fig3like):
     and only the baseline is sensitive to request order."""
     pairs = gs_pairs(fig3like)
     total = sum(link.pool_bits for link in fig3like.links) + 1
-    mmd = route_mmd(fig3like, pairs)
-    baseline = route_sequential_dijkstra(fig3like, [(a, b, total) for a, b in pairs])
+    mmd = route_mmd(fig3like, pairs, gs_relay=True)
+    baseline = route_sequential_dijkstra(
+        fig3like, [(a, b, total) for a, b in pairs], gs_relay=True
+    )
     ok = mmd.min_demand >= baseline.min_demand
 
     rng = random.Random(161803)
     for _ in range(50):
         graph, rnd_pairs = random_instance(rng, max_paths=None)
         rnd_total = sum(link.pool_bits for link in graph.links) + 1
-        rnd_mmd = route_mmd(graph, rnd_pairs)
+        rnd_mmd = route_mmd(graph, rnd_pairs, gs_relay=True)
         rnd_baseline = route_sequential_dijkstra(
-            graph, [(a, b, rnd_total) for a, b in rnd_pairs]
+            graph, [(a, b, rnd_total) for a, b in rnd_pairs], gs_relay=True
         )
         ok = ok and rnd_mmd.min_demand >= rnd_baseline.min_demand
 
@@ -276,12 +280,12 @@ def test_baseline_dominance(fig3like):
     # the max-min planner's does not
     forward = [("A", "D", 2000), ("B", "D", 2000)]
     backward = list(reversed(forward))
-    dij_fwd = route_sequential_dijkstra(fig3like, forward)
-    dij_bwd = route_sequential_dijkstra(fig3like, backward)
+    dij_fwd = route_sequential_dijkstra(fig3like, forward, gs_relay=True)
+    dij_bwd = route_sequential_dijkstra(fig3like, backward, gs_relay=True)
     by_pair = lambda sol: {c.pair: d for c, d in zip(sol.commodities, sol.demands)}
     dijkstra_moved = by_pair(dij_fwd) != by_pair(dij_bwd)
-    mmd_fwd = route_mmd(fig3like, [("A", "D"), ("B", "D")])
-    mmd_bwd = route_mmd(fig3like, [("B", "D"), ("A", "D")])
+    mmd_fwd = route_mmd(fig3like, [("A", "D"), ("B", "D")], gs_relay=True)
+    mmd_bwd = route_mmd(fig3like, [("B", "D"), ("A", "D")], gs_relay=True)
     mmd_stable = by_pair(mmd_fwd) == by_pair(mmd_bwd)
 
     ok = ok and dijkstra_moved and mmd_stable

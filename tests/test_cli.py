@@ -17,7 +17,8 @@ from qkdplan.cli import (
     main,
 )
 from qkdplan.lp import LpStatus
-from qkdplan.router import solution_from_csv
+
+from oracles import solution_from_csv
 
 
 def table_value(stdout: str, key: str) -> str:
@@ -190,6 +191,19 @@ class TestPlanCommand:
         assert captured.err == (
             "error: verification failed: capacity exceeded on link g1-s1: "
             "100.0 used > 10 pooled (+1 more)\n"
+        )
+
+    def test_plan_without_demands_exits_4(self, capsys, monkeypatch):
+        def no_demands(graph, pairs, gs_relay):
+            commodities = tuple(router.Commodity(a, b) for a, b in pairs)
+            return router.FlowSolution("mmd", LpStatus.OPTIMAL, commodities, {}, (), 0.0)
+
+        monkeypatch.setattr(router, "route_mmd", no_demands)
+        assert main(["plan", "micro-line", "--objective", "mmd"]) == EXIT_SOLVER_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: verification failed: demand count 0 != commodity count 1\n"
         )
 
     def test_fractional_plan_exits_4(self, tmp_path, capsys, monkeypatch):

@@ -12,14 +12,13 @@ from qkdplan.decoy import (
     DecoyProtocolParams,
     DegenerateChannelError,
     binary_entropy,
-    forward_key_rate,
     forward_observables,
     gain_and_qber,
     secret_key_rate,
     single_photon_bounds,
 )
 
-from oracles import error_rate_n, gain_and_qber_series, poisson_pn, yield_n
+from oracles import error_rate_n, forward_key_rate, gain_and_qber_series, poisson_pn, yield_n
 
 # Gains and QBERs of the three reference link classes as commonly tabulated
 # (QBERs consistent with E*Q = e0*Y0 at Y0 = 1.7e-6).

@@ -17,8 +17,9 @@ from qkdplan.linkbudget import (
     link_performance,
     preset_link,
     total_attenuation,
-    transmittance,
 )
+
+from oracles import forward_key_rate, transmittance
 
 
 def make_params(**overrides) -> FsoLinkParams:
@@ -180,13 +181,6 @@ class TestPresets:
     def test_preset_names(self):
         assert set(PRESETS) == {"leo-gs", "geo-gs", "leo-leo"}
 
-    def test_distance_windows(self):
-        assert PRESETS["leo-gs"].distance_min_m == 800e3
-        assert PRESETS["leo-gs"].distance_max_m == 1200e3
-        assert PRESETS["geo-gs"].distance_min_m == 36000e3
-        assert PRESETS["geo-gs"].distance_max_m == 42000e3
-        assert PRESETS["leo-leo"].distance_min_m == 4000e3
-
     def test_unknown_preset_rejected(self):
         with pytest.raises(KeyError):
             preset_link("meo-gs")
@@ -210,7 +204,7 @@ class TestPresets:
         assert no_detector.q_mu == pytest.approx(2.26e-5, rel=0.05)
 
     def test_performance_consistent_with_rate_model(self):
-        from qkdplan.decoy import forward_key_rate, forward_observables
+        from qkdplan.decoy import forward_observables
 
         params = preset_link("geo-gs")
         perf = link_performance(params)

@@ -1,6 +1,7 @@
 """Public surface: what ``import qkdplan`` and each module export."""
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +17,17 @@ TEST_ONLY = (
     "InsufficientKeysError",
     "RelayTrace",
     "SERIES_TERMS",
+    "_CSV_SUM_TOL",
+    "_parse_number",
     "_photon_arrival",
     "consume",
     "error_rate_n",
+    "forward_key_rate",
     "gain_and_qber_series",
     "poisson_pn",
     "relay_chain_demo",
+    "solution_from_csv",
+    "transmittance",
     "yield_n",
 )
 
@@ -67,3 +73,11 @@ def test_runtime_package_imports_no_scipy():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out == f"{len(MODULES)} False\n"
+
+
+def test_readme_library_example_runs(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(root)  # the example loads a scenario by its relative path
+    exec(compile(block, "README.md", "exec"), {})

@@ -1,5 +1,6 @@
 """Flow routing: LP encoding, rounding, planners, verification, CSV."""
 import dataclasses
+import math
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from qkdplan.router import (
     route_mmd,
     route_mr,
     route_sequential_dijkstra,
-    solution_from_csv,
     solution_to_csv,
     solve_fractional,
     verify_solution,
@@ -29,6 +29,7 @@ from oracles import (
     random_instance,
     sequential_dijkstra_push,
     simple_paths,
+    solution_from_csv,
 )
 
 
@@ -87,40 +88,40 @@ class TestBuildLp:
     def test_single_commodity_path_graph(self):
         graph = line_pools(10, 6)
         assert min_cut_single(graph, "g1", "g2") == 6  # the independent bound
-        solution = solve_fractional(graph, [Commodity("g1", "g2")], "mmd")
+        solution = solve_fractional(graph, [Commodity("g1", "g2")], "mmd", gs_relay=True)
         assert solution.status is LpStatus.OPTIMAL
         assert solution.demands[0] == pytest.approx(6.0, abs=1e-8)
 
     def test_no_commodities_is_trivially_optimal(self):
         graph = line_pools()
-        solution = solve_fractional(graph, [], "mmd")
+        solution = solve_fractional(graph, [], "mmd", gs_relay=True)
         assert solution.status is LpStatus.OPTIMAL
         assert solution.flows == {} and solution.objective == 0.0
 
     def test_two_commodities_split_shared_pool(self):
         solution = solve_fractional(
-            shared_pools(10), [Commodity("a", "b"), Commodity("c", "d")], "mmd"
+            shared_pools(10), [Commodity("a", "b"), Commodity("c", "d")], "mmd", gs_relay=True
         )
         assert solution.demands[0] == pytest.approx(5.0, abs=1e-8)
         assert solution.demands[1] == pytest.approx(5.0, abs=1e-8)
 
     def test_satellite_endpoint_rejected(self):
         with pytest.raises(ValueError, match="ground stations"):
-            build_lp(line_pools(), [Commodity("g1", "s1")], "mmd")
+            build_lp(line_pools(), [Commodity("g1", "s1")], "mmd", gs_relay=True)
 
     def test_unknown_node_rejected(self):
         with pytest.raises(KeyError):
-            build_lp(line_pools(), [Commodity("g1", "nowhere")], "mmd")
+            build_lp(line_pools(), [Commodity("g1", "nowhere")], "mmd", gs_relay=True)
 
     def test_demand_mode_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            build_lp(line_pools(), [Commodity("g1", "g2", demand_bits=4)], "mmd")
+            build_lp(line_pools(), [Commodity("g1", "g2", demand_bits=4)], "mmd", gs_relay=True)
         with pytest.raises(ValueError):
-            build_lp(line_pools(), [Commodity("g1", "g2")], "mr")
+            build_lp(line_pools(), [Commodity("g1", "g2")], "mr", gs_relay=True)
 
     def test_variable_layout_shape(self, relay_graph):
         graph = line_pools()
-        lp, columns = build_lp(graph, [Commodity("g1", "g2")], "mmd")
+        lp, columns = build_lp(graph, [Commodity("g1", "g2")], "mmd", gs_relay=True)
         # t + one demand + 2 flow directions on each of 2 links
         assert lp.num_variables == 1 + 1 + 4 == 2 + len(columns)
         assert columns == (
@@ -129,7 +130,9 @@ class TestBuildLp:
             (0, ("g2", "s1")),
             (0, ("s1", "g2")),
         )
-        lp_mr, columns_mr = build_lp(graph, [Commodity("g1", "g2", demand_bits=3)], "mr")
+        lp_mr, columns_mr = build_lp(
+            graph, [Commodity("g1", "g2", demand_bits=3)], "mr", gs_relay=True
+        )
         assert lp_mr.num_variables == 4 == len(columns_mr)
         assert lp_mr.objective.tolist() == [1.0] * 4  # unit cost per flow column
         assert lp.objective.tolist() == [-1.0] + [0.0] * 5  # maximize t
@@ -171,7 +174,9 @@ class TestBuildLp:
     def test_options_are_keyword_only(self):
         commodities = [Commodity("g1", "g2", demand_bits=3)]
         with pytest.raises(TypeError):
-            build_lp(line_pools(), commodities, "mr", edge_weights={("g1", "s1"): 2.0})
+            build_lp(
+                line_pools(), commodities, "mr", edge_weights={("g1", "s1"): 2.0}, gs_relay=True
+            )
         # a positional fourth argument is not taken as gs_relay
         with pytest.raises(TypeError):
             build_lp(line_pools(), commodities, "mr", False)
@@ -270,7 +275,8 @@ class TestGreedyRound:
         rng = random.Random(1234)
         for _ in range(40):
             graph, pairs = random_instance(rng, max_paths=None)
-            fractional = solve_fractional(graph, [Commodity(a, b) for a, b in pairs], "mmd")
+            commodities = [Commodity(a, b) for a, b in pairs]
+            fractional = solve_fractional(graph, commodities, "mmd", gs_relay=True)
             rounded = greedy_round(graph, fractional, gs_relay=True)
             for frac, whole in zip(fractional.demands, rounded.demands):
                 assert whole >= int(frac + 1e-6) - 1e-9
@@ -316,13 +322,13 @@ class TestGreedyRound:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(router, "_min_hop_path", counting)
-        route_mmd(fig3like)
+        route_mmd(fig3like, gs_pairs(fig3like), gs_relay=True)
         assert len(calls) < 200
 
 
 class TestRouteMmd:
     def test_fig3like_all_pairs_floor(self, fig3like):
-        solution = route_mmd(fig3like)
+        solution = route_mmd(fig3like, gs_pairs(fig3like), gs_relay=True)
         assert solution.status is LpStatus.OPTIMAL
         assert solution.min_demand == 600.0
         # the cut bound certifies 600 is optimal, not just achieved
@@ -331,7 +337,7 @@ class TestRouteMmd:
 
     def test_fig3like_near_triple(self, fig3like):
         pairs = [("A", "B"), ("A", "C"), ("B", "C")]
-        solution = route_mmd(fig3like, pairs)
+        solution = route_mmd(fig3like, pairs, gs_relay=True)
         assert solution.min_demand == 30300.0
         assert mmd_cut_bound(fig3like, pairs) == pytest.approx(30300.0)
 
@@ -340,23 +346,23 @@ class TestRouteMmd:
             {"g1": "gs", "s1": "leo", "g2": "gs", "s2": "leo"},
             [("g1", "s1", 50), ("g2", "s2", 50)],
         )
-        solution = route_mmd(graph, [("g1", "g2")])
+        solution = route_mmd(graph, [("g1", "g2")], gs_relay=True)
         assert solution.demands == (0.0,)
         assert solution.status is LpStatus.OPTIMAL
 
     def test_default_pairs_cover_all_stations(self, fig3like):
-        solution = route_mmd(fig3like)
+        solution = route_mmd(fig3like, gs_pairs(fig3like), gs_relay=True)
         assert len(solution.commodities) == 10
 
     def test_rounded_solution_is_integral(self, fig3like):
-        solution = route_mmd(fig3like)
+        solution = route_mmd(fig3like, gs_pairs(fig3like), gs_relay=True)
         assert solution.integral
 
 
 class TestRouteMr:
     def test_fig3like_uniform_requests(self, fig3like):
         requests = [(a, b, 600) for a, b in gs_pairs(fig3like)]
-        solution = route_mr(fig3like, requests)
+        solution = route_mr(fig3like, requests, gs_relay=True)
         assert solution.status is LpStatus.OPTIMAL
         assert solution.demands == tuple(600.0 for _ in requests)
         assert solution.total_flow == 15600.0  # frozen; must stay >= 2 bits/bit
@@ -364,20 +370,22 @@ class TestRouteMr:
         assert verify_solution(fig3like, solution.commodities, solution, gs_relay=True).ok
 
     def test_zero_demand_is_free(self):
-        solution = route_mr(line_pools(), [("g1", "g2", 0)])
+        solution = route_mr(line_pools(), [("g1", "g2", 0)], gs_relay=True)
         assert solution.status is LpStatus.OPTIMAL
         assert solution.total_flow == 0
         assert solution.consumption_rate == 0.0
 
     def test_overdemand_is_infeasible(self):
-        solution = route_mr(line_pools(10, 6), [("g1", "g2", 7)])
+        solution = route_mr(line_pools(10, 6), [("g1", "g2", 7)], gs_relay=True)
         assert solution.status is LpStatus.INFEASIBLE
         assert solution.flows == {}
 
     def test_takes_no_per_link_weights(self):
         # every relay hop costs one pool bit per key bit; there is no cost knob
         with pytest.raises(TypeError):
-            route_mr(line_pools(), [("g1", "g2", 1)], edge_weights={("g1", "s1"): 2.0})
+            route_mr(
+                line_pools(), [("g1", "g2", 1)], edge_weights={("g1", "s1"): 2.0}, gs_relay=True
+            )
 
 
 class TestSequentialDijkstra:
@@ -392,18 +400,23 @@ class TestSequentialDijkstra:
             ],
         )
         solution = route_sequential_dijkstra(
-            graph, [("x", "y", 10**6), ("z", "y", 10**6)]
+            graph, [("x", "y", 10**6), ("z", "y", 10**6)], gs_relay=True
         )
         assert solution.demands == (2400.0, 0.0)
 
     def test_single_request_takes_bottleneck(self):
         graph = line_pools(10, 6)
-        assert route_sequential_dijkstra(graph, [("g1", "g2", 4)]).demands == (4.0,)
-        assert route_sequential_dijkstra(graph, [("g1", "g2", 100)]).demands == (6.0,)
+        assert route_sequential_dijkstra(graph, [("g1", "g2", 4)], gs_relay=True).demands == (4.0,)
+        capped = route_sequential_dijkstra(graph, [("g1", "g2", 100)], gs_relay=True)
+        assert capped.demands == (6.0,)
 
     def test_order_swap_swaps_outcomes(self, fig3like):
-        forward = route_sequential_dijkstra(fig3like, [("A", "D", 2000), ("B", "D", 2000)])
-        backward = route_sequential_dijkstra(fig3like, [("B", "D", 2000), ("A", "D", 2000)])
+        forward = route_sequential_dijkstra(
+            fig3like, [("A", "D", 2000), ("B", "D", 2000)], gs_relay=True
+        )
+        backward = route_sequential_dijkstra(
+            fig3like, [("B", "D", 2000), ("A", "D", 2000)], gs_relay=True
+        )
         by_pair_fwd = dict(zip((c.pair for c in forward.commodities), forward.demands))
         by_pair_bwd = dict(zip((c.pair for c in backward.commodities), backward.demands))
         assert by_pair_fwd[("A", "D")] == by_pair_bwd[("B", "D")]
@@ -411,12 +424,12 @@ class TestSequentialDijkstra:
         assert by_pair_fwd != by_pair_bwd
 
     def test_splits_across_paths_after_saturation(self):
-        solution = route_sequential_dijkstra(diamond_pools(3), [("a", "b", 6)])
+        solution = route_sequential_dijkstra(diamond_pools(3), [("a", "b", 6)], gs_relay=True)
         assert solution.demands == (6.0,)
 
     def test_solution_verifies(self, fig3like):
         requests = [(a, b, 600) for a, b in gs_pairs(fig3like)]
-        solution = route_sequential_dijkstra(fig3like, requests)
+        solution = route_sequential_dijkstra(fig3like, requests, gs_relay=True)
         assert verify_solution(fig3like, solution.commodities, solution, gs_relay=True).ok
 
     @pytest.mark.parametrize("gs_relay", [True, False])
@@ -452,6 +465,26 @@ class TestGsRelayFlag:
     def test_endpoints_still_usable_when_banned(self, relay_graph):
         solution = route_mmd(relay_graph, [("a", "c")], gs_relay=False)
         assert solution.min_demand == 10.0
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            lambda g: build_lp(g, [Commodity("a", "b")], "mmd"),
+            lambda g: solve_fractional(g, [Commodity("a", "b")], "mmd"),
+            lambda g: route_mmd(g, [("a", "b")]),
+            lambda g: route_mr(g, [("a", "b", 1)]),
+            lambda g: route_sequential_dijkstra(g, [("a", "b", 1)]),
+        ],
+        ids=["build_lp", "solve_fractional", "route_mmd", "route_mr", "route_sequential_dijkstra"],
+    )
+    def test_planners_need_the_ban_setting(self, relay_graph, plan):
+        # no entry point falls back to allowing transit through station c
+        with pytest.raises(TypeError, match="gs_relay"):
+            plan(relay_graph)
+
+    def test_route_mmd_needs_its_pairs(self, relay_graph):
+        with pytest.raises(TypeError, match="pairs"):
+            route_mmd(relay_graph, gs_relay=True)
 
     def test_rounding_needs_the_ban_setting(self, relay_graph):
         fractional = solve_fractional(relay_graph, [Commodity("a", "b")], "mmd", gs_relay=False)
@@ -520,11 +553,11 @@ class TestVerifySolution:
         report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert not report.ok
         assert any("delivers 4 > requested 3" in v for v in report.violations)
-        exact = route_mr(graph, [("g1", "g2", 3)])
+        exact = route_mr(graph, [("g1", "g2", 3)], gs_relay=True)
         assert verify_solution(graph, commodities, exact, gs_relay=True).ok
 
     def test_tampered_conservation_detected(self, fig3like):
-        solution = route_mmd(fig3like, [("A", "B")])
+        solution = route_mmd(fig3like, [("A", "B")], gs_relay=True)
         flows = dict(solution.flows)
         flows[(0, ("leo1", "B"))] = flows.get((0, ("leo1", "B")), 0) + 1
         tampered = FlowSolution(
@@ -598,6 +631,40 @@ class TestVerifySolution:
         report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert report.violations == ("flow on nonexistent link g1-g2 (commodity 0)",)
 
+    @pytest.mark.parametrize(
+        "flows, demands, violation",
+        [
+            (
+                {(0, ("g1", "s1")): math.nan, (0, ("s1", "g2")): math.nan},
+                (5.0,),
+                "non-finite flow nan on g1->s1 (commodity 0)",
+            ),
+            (
+                {(0, ("g1", "s1")): 5, (0, ("s1", "g2")): 5},
+                (math.nan,),
+                "commodity 0 demand nan is not a finite number >= 0",
+            ),
+            (  # reversed flows balance a negative demand
+                {(0, ("g2", "s1")): 3, (0, ("s1", "g1")): 3},
+                (-3.0,),
+                "commodity 0 demand -3.0 is not a finite number >= 0",
+            ),
+            (
+                {(0, ("g1", "s1")): 5, (0, ("s1", "g2")): 5},
+                (5.0, 7.0),
+                "demand count 2 != commodity count 1",
+            ),
+            ({}, (), "demand count 0 != commodity count 1"),
+        ],
+        ids=["nan-flows", "nan-demand", "negative-demand", "extra-demand", "no-demands"],
+    )
+    def test_malformed_plan_detected(self, flows, demands, violation):
+        graph = line_pools()
+        commodities = (Commodity("g1", "g2"),)
+        bogus = FlowSolution("mmd", LpStatus.OPTIMAL, commodities, flows, demands, None)
+        report = verify_solution(graph, commodities, bogus, gs_relay=True)
+        assert violation in report.violations
+
     def test_unknown_commodity_reported_once_per_index(self):
         graph = line_pools()
         commodities = (Commodity("g1", "g2"),)
@@ -618,11 +685,11 @@ class TestCsvRoundTrip:
     def test_round_trip_is_exact(self, fig3like, objective):
         requests = [(a, b, 600) for a, b in gs_pairs(fig3like)]
         if objective == "mmd":
-            solution = route_mmd(fig3like)
+            solution = route_mmd(fig3like, gs_pairs(fig3like), gs_relay=True)
         elif objective == "mr":
-            solution = route_mr(fig3like, requests)
+            solution = route_mr(fig3like, requests, gs_relay=True)
         else:
-            solution = route_sequential_dijkstra(fig3like, requests)
+            solution = route_sequential_dijkstra(fig3like, requests, gs_relay=True)
         text = solution_to_csv(solution)
         parsed = solution_from_csv(text)
         assert parsed.kind == solution.kind
@@ -635,7 +702,7 @@ class TestCsvRoundTrip:
     def test_fractional_values_survive(self):
         graph = shared_pools(11)
         commodities = [Commodity("a", "b"), Commodity("c", "d")]
-        fractional = solve_fractional(graph, commodities, "mmd")
+        fractional = solve_fractional(graph, commodities, "mmd", gs_relay=True)
         text = solution_to_csv(fractional)
         parsed = solution_from_csv(text)
         assert parsed.flows == fractional.flows
@@ -643,7 +710,7 @@ class TestCsvRoundTrip:
 
     def test_duplicate_pair_commodities_round_trip(self):
         graph = line_pools(10, 10)
-        solution = route_mr(graph, [("g1", "g2", 3), ("g1", "g2", 4)])
+        solution = route_mr(graph, [("g1", "g2", 3), ("g1", "g2", 4)], gs_relay=True)
         parsed = solution_from_csv(solution_to_csv(solution))
         assert parsed.demands == solution.demands
         assert parsed.flows == solution.flows
@@ -655,7 +722,7 @@ class TestCsvRoundTrip:
             {"m": "gs", "q": "gs", "a": "leo", "z": "leo"},
             [("m", "a", 5), ("a", "q", 5), ("m", "z", 5), ("z", "q", 5)],
         )
-        solution = route_sequential_dijkstra(graph, [("m", "q", 5), ("m", "q", 5)])
+        solution = route_sequential_dijkstra(graph, [("m", "q", 5), ("m", "q", 5)], gs_relay=True)
         assert solution.flows == {
             (0, ("m", "a")): 5, (0, ("a", "q")): 5,
             (1, ("m", "z")): 5, (1, ("z", "q")): 5,
@@ -665,7 +732,7 @@ class TestCsvRoundTrip:
         assert parsed.demands == solution.demands
 
     def test_rows_that_do_not_add_up_are_rejected(self):
-        text = solution_to_csv(route_mmd(line_pools()))
+        text = solution_to_csv(route_mmd(line_pools(), [("g1", "g2")], gs_relay=True))
         with pytest.raises(ValueError, match="consumed"):
             solution_from_csv(text.replace("g1->g2,6,12,", "g1->g2,6,5,"))
 
@@ -675,14 +742,14 @@ class TestRandomizedProperties:
         rng = random.Random(2025)
         for case in range(60):
             graph, pairs = random_instance(rng, max_paths=None)
-            mmd = route_mmd(graph, pairs)
+            mmd = route_mmd(graph, pairs, gs_relay=True)
             assert verify_solution(graph, mmd.commodities, mmd, gs_relay=True).ok, f"case {case}"
             assert mmd.integral, f"case {case}"
             requests = [(c.source, c.sink, int(d)) for c, d in zip(mmd.commodities, mmd.demands)]
-            mr = route_mr(graph, requests)
+            mr = route_mr(graph, requests, gs_relay=True)
             assert mr.status is LpStatus.OPTIMAL, f"case {case}"
             assert verify_solution(graph, mr.commodities, mr, gs_relay=True).ok, f"case {case}"
-            dijkstra = route_sequential_dijkstra(graph, requests)
+            dijkstra = route_sequential_dijkstra(graph, requests, gs_relay=True)
             report = verify_solution(graph, dijkstra.commodities, dijkstra, gs_relay=True)
             assert report.ok, f"case {case}"
 
@@ -691,8 +758,10 @@ class TestRandomizedProperties:
         for case in range(50):
             graph, pairs = random_instance(rng, max_paths=None)
             total = sum(link.pool_bits for link in graph.links) + 1
-            mmd = route_mmd(graph, pairs)
-            baseline = route_sequential_dijkstra(graph, [(a, b, total) for a, b in pairs])
+            mmd = route_mmd(graph, pairs, gs_relay=True)
+            baseline = route_sequential_dijkstra(
+                graph, [(a, b, total) for a, b in pairs], gs_relay=True
+            )
             assert mmd.min_demand >= baseline.min_demand, f"case {case}"
 
     def test_rounded_minimum_reaches_the_lp_floor(self):
@@ -700,7 +769,7 @@ class TestRandomizedProperties:
         for case in range(80):
             graph, pairs = random_instance(rng, max_paths=None)
             commodities = [Commodity(a, b) for a, b in pairs]
-            fractional = solve_fractional(graph, commodities, "mmd")
+            fractional = solve_fractional(graph, commodities, "mmd", gs_relay=True)
             rounded = greedy_round(graph, fractional, gs_relay=True)
             assert rounded.min_demand >= int(fractional.objective + 1e-9), f"case {case}"
 
@@ -708,7 +777,7 @@ class TestRandomizedProperties:
         rng = random.Random(777)
         for case in range(40):
             graph, pairs = random_instance(rng, max_paths=None)
-            mmd = route_mmd(graph, pairs)
+            mmd = route_mmd(graph, pairs, gs_relay=True)
             consumed = mmd.consumed_per_commodity()
             for i, commodity in enumerate(mmd.commodities):
                 delivered = mmd.demands[i]
