@@ -211,11 +211,7 @@ def build_markdown(
         "| pair | fulfilled_bits | consumed_bits | consumption_rate |",
         "| --- | --- | --- | --- |",
     ]
-    consumed_per_commodity = solution.consumed_per_commodity()
-    for i, commodity in enumerate(solution.commodities):
-        delivered = solution.demands[i]
-        consumed = consumed_per_commodity[i]
-        rate = consumed / delivered if delivered > 0 else 0.0
+    for commodity, (delivered, consumed, rate) in zip(solution.commodities, solution.pair_totals()):
         lines.append(
             f"| {commodity.source}->{commodity.sink} | {delivered:g} "
             f"| {consumed:g} | {rate:.4g} |"

@@ -8,7 +8,9 @@ bounds, and the resulting secret-key rate lower bound.
 All functions are pure and operate on plain floats; the channel enters
 only through the end-to-end single-photon detection probability ``delta``
 (receiver efficiency included), which the link-budget module provides.
-``linkbudget.link_performance`` chains these steps into a key rate.
+Every step takes the protocol explicitly, with no default, so one chain
+cannot mix protocols; ``linkbudget.link_performance`` chains the steps
+into a key rate and defaults to :data:`DEFAULT_PROTOCOL`.
 """
 from __future__ import annotations
 
@@ -112,7 +114,7 @@ def binary_entropy(x: float) -> float:
 
 
 def gain_and_qber(
-    intensity: float, delta: float, params: DecoyProtocolParams = DEFAULT_PROTOCOL
+    intensity: float, delta: float, params: DecoyProtocolParams
 ) -> tuple[float, float]:
     """Gain and QBER of a weak coherent state, closed form.
 
@@ -134,7 +136,7 @@ def gain_and_qber(
 
 
 def single_photon_bounds(
-    obs: ChannelObservables, params: DecoyProtocolParams = DEFAULT_PROTOCOL
+    obs: ChannelObservables, params: DecoyProtocolParams
 ) -> SinglePhotonBounds:
     """Bound the single-photon yield, gain and error rate from two intensities.
 
@@ -144,10 +146,7 @@ def single_photon_bounds(
     positive, i.e. the observables admit no provable single-photon signal.
     """
     mu, nu, y0 = params.mu, params.nu, params.y0
-    denom = mu * nu - nu * nu
-    if denom <= 0.0:
-        raise ValueError(f"need mu > nu > 0, got mu={mu}, nu={nu}")
-    y1_lower = (mu / denom) * (
+    y1_lower = (mu / (mu * nu - nu * nu)) * (
         obs.q_nu * math.exp(nu)
         - obs.q_mu * math.exp(mu) * nu * nu / (mu * mu)
         - (mu * mu - nu * nu) / (mu * mu) * y0
@@ -167,7 +166,7 @@ def single_photon_bounds(
 def secret_key_rate(
     obs: ChannelObservables,
     bounds: SinglePhotonBounds,
-    params: DecoyProtocolParams = DEFAULT_PROTOCOL,
+    params: DecoyProtocolParams,
 ) -> float:
     """Secret-key rate lower bound in bits per second.
 
@@ -182,9 +181,7 @@ def secret_key_rate(
     return max(0.0, per_pulse) * params.pulse_rate_hz
 
 
-def forward_observables(
-    delta: float, params: DecoyProtocolParams = DEFAULT_PROTOCOL
-) -> ChannelObservables:
+def forward_observables(delta: float, params: DecoyProtocolParams) -> ChannelObservables:
     """Model the observables a channel of transmittance delta would produce."""
     q_mu, e_mu = gain_and_qber(params.mu, delta, params)
     q_nu, e_nu = gain_and_qber(params.nu, delta, params)

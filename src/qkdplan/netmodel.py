@@ -199,7 +199,7 @@ class Scenario:
     graph: QkdGraph
     window_seconds: float
     requests: tuple[Request, ...]
-    gs_relay: bool = True
+    gs_relay: bool
 
 
 def _require(condition: bool, where: str, message: str) -> None:
@@ -225,6 +225,7 @@ def _parse_link(entry: dict, where: str) -> Link:
         _require(field in entry, where, f"missing field {field!r}")
     a = _check_id(entry["a"], f"{where}.a")
     b = _check_id(entry["b"], f"{where}.b")
+    _require(a != b, where, f"endpoints must be distinct, got {a!r} twice")
     known = {"a", "b", "rate_bps", "preset", "distance_m"}
     extra = set(entry) - known
     _require(not extra, where, f"unknown fields {sorted(extra)}")
@@ -304,7 +305,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         _require(set(entry) == {"id", "kind"}, where, "expected exactly the fields id, kind")
         node_id = _check_id(entry["id"], f"{where}.id")
         _require(
-            entry["kind"] in kinds, f"{where}.kind",
+            isinstance(entry["kind"], str) and entry["kind"] in kinds, f"{where}.kind",
             f"expected one of {sorted(kinds)}, got {entry['kind']!r}",
         )
         nodes.append(Node(id=node_id, kind=kinds[entry["kind"]]))
@@ -320,8 +321,10 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         f"expected a finite number >= 0, got {elapsed!r}",
     )
 
+    listed = raw.get("requests", [])
+    _require(isinstance(listed, list), "scenario.requests", "expected a list")
     requests = []
-    for i, entry in enumerate(raw.get("requests", [])):
+    for i, entry in enumerate(listed):
         where = f"requests[{i}]"
         _require(isinstance(entry, dict), where, "expected an object")
         _require(

@@ -27,8 +27,11 @@ per link with both ends usable, and the nodes its path searches may enter.
 A link's single pool caps the sum of both directions over all commodities,
 because the shared secret bits on a link are usable either way.  All
 tie-breaking is deterministic (commodity index, then lexicographic node
-ids), so identical inputs give identical plans.  The CSV export has no
-reader here; the tests hold the reference one.
+ids), so identical inputs give identical plans.  A :class:`FlowSolution`
+stores only its flows and demands: its objective, totals and per-pair
+totals, which the CSV export and the markdown report read, are derived
+from them.  The CSV export has no reader here; the tests hold the
+reference one.
 """
 from __future__ import annotations
 
@@ -69,7 +72,7 @@ FlowKey = tuple[int, DirectedEdge]
 
 @dataclass(frozen=True)
 class Commodity:
-    """One key-exchange request; demand None means variable (max-min)."""
+    """One key-exchange request; demand None means variable (max-min), else whole bits."""
 
     source: str
     sink: str
@@ -78,8 +81,10 @@ class Commodity:
     def __post_init__(self) -> None:
         if self.source == self.sink:
             raise ValueError(f"commodity endpoints must differ, got {self.source!r} twice")
-        if self.demand_bits is not None and self.demand_bits < 0:
-            raise ValueError(f"demand must be >= 0, got {self.demand_bits}")
+        demand = self.demand_bits
+        whole = isinstance(demand, int) and not isinstance(demand, bool)
+        if demand is not None and not (whole and demand >= 0):
+            raise ValueError(f"demand must be an integer >= 0, got {demand!r}")
 
     @property
     def pair(self) -> tuple[str, str]:
@@ -88,25 +93,39 @@ class Commodity:
 
 @dataclass(frozen=True, eq=False)
 class FlowSolution:
-    """Per-commodity directed key flows plus the fulfilled demands."""
+    """Per-commodity directed key flows and fulfilled demands; every total derives from them."""
 
     kind: str  # "mmd" | "mr" | "dijkstra"
     status: LpStatus
     commodities: tuple[Commodity, ...]
     flows: dict[FlowKey, float]
     demands: tuple[float, ...]
-    objective: Optional[float]
+
+    @property
+    def objective(self) -> Optional[float]:
+        """The least demand (mmd), the pool bits consumed (mr) or the bits
+        delivered (dijkstra); None unless the status is Optimal."""
+        if self.status is not LpStatus.OPTIMAL:
+            return None
+        if self.kind == "mmd":
+            return float(self.min_demand)
+        return float(self.total_flow if self.kind == "mr" else self.total_demand)
 
     @property
     def total_flow(self) -> float:
         return sum(self.flows.values())
 
-    def consumed_per_commodity(self) -> tuple[float, ...]:
-        """Pool bits each commodity consumed, summed in one pass over the flows."""
-        totals: dict[int, float] = {}
+    def pair_totals(self) -> tuple[tuple[float, float, float], ...]:
+        """Per commodity: (bits delivered, pool bits consumed, consumed per
+        delivered bit or 0), the consumed bits summed in one pass over the flows."""
+        consumed: dict[int, float] = {}
         for (i, _), v in self.flows.items():
-            totals[i] = totals.get(i, 0) + v
-        return tuple(totals.get(i, 0) for i in range(len(self.commodities)))
+            consumed[i] = consumed.get(i, 0) + v
+        totals = []
+        for i, delivered in enumerate(self.demands):
+            used = consumed.get(i, 0)
+            totals.append((delivered, used, used / delivered if delivered > 0 else 0.0))
+        return tuple(totals)
 
     @property
     def min_demand(self) -> float:
@@ -263,24 +282,21 @@ def solve_fractional(
     lp, columns = build_lp(graph, commodities, objective, gs_relay=gs_relay)
     solution = solve(lp)
     if solution.status is not LpStatus.OPTIMAL:
-        flows, demands, value = {}, (0.0,) * len(commodities), None
+        flows, demands = {}, (0.0,) * len(commodities)
     else:
         x = solution.x
         flow_values = x[x.size - len(columns):]  # the flow columns come last
         flows = {key: float(v) for key, v in zip(columns, flow_values) if v > _FLOW_EPS}
         if objective == "mmd":
             demands = tuple(float(x[1 + i]) for i in range(len(commodities)))
-            value = min(demands) if demands else 0.0
         else:
             demands = tuple(float(c.demand_bits) for c in commodities)
-            value = float(solution.objective_value)
     return FlowSolution(
         kind=objective,
         status=solution.status,
         commodities=commodities,
         flows=flows,
         demands=demands,
-        objective=value,
     )
 
 
@@ -466,22 +482,20 @@ def greedy_round(
     commodities = fractional.commodities
     flows, demands, residual = _floor_paths(graph, fractional)
     _fill(graph, commodities, range(len(commodities)), flows, demands, residual, gs_relay)
-
-    if fractional.kind == "mmd":
-        objective = float(min(demands)) if demands else 0.0
-    else:
-        objective = float(sum(flows.values()))
     return FlowSolution(
         kind=fractional.kind,
         status=LpStatus.OPTIMAL,
         commodities=commodities,
         flows={key: value for key, value in flows.items() if value > 0},
         demands=tuple(float(d) for d in demands),
-        objective=objective,
     )
 
 
 # --- planners ----------------------------------------------------------------
+
+def _fixed_demands(requests: Sequence[tuple[str, str, int]]) -> tuple[Commodity, ...]:
+    return tuple(Commodity(src, dst, demand) for src, dst, demand in requests)
+
 
 def route_mmd(
     graph: QkdGraph,
@@ -511,11 +525,7 @@ def route_mr(
     demands exceed what the pools can carry; otherwise rounds greedily,
     topping commodities back up to at most their requested amount.
     """
-    commodities = [
-        Commodity(source=src, sink=dst, demand_bits=int(demand))
-        for src, dst, demand in requests
-    ]
-    fractional = solve_fractional(graph, commodities, "mr", gs_relay=gs_relay)
+    fractional = solve_fractional(graph, _fixed_demands(requests), "mr", gs_relay=gs_relay)
     return greedy_round(graph, fractional, gs_relay=gs_relay)
 
 
@@ -532,10 +542,7 @@ def route_sequential_dijkstra(
     bottleneck, capped by the remaining demand, until the demand is met or
     no path is left.  So the outcome depends on the request order.
     """
-    commodities = tuple(
-        Commodity(source=src, sink=dst, demand_bits=int(demand))
-        for src, dst, demand in requests
-    )
+    commodities = _fixed_demands(requests)
     _check_commodities(graph, commodities)
     residual = {link.endpoints: link.pool_bits for link in graph.links}
     flows: dict[FlowKey, int] = {}
@@ -548,7 +555,6 @@ def route_sequential_dijkstra(
         commodities=commodities,
         flows=flows,
         demands=tuple(float(d) for d in demands),
-        objective=float(sum(demands)),
     )
 
 
@@ -556,8 +562,11 @@ def route_sequential_dijkstra(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    ok: bool
     violations: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def verify_solution(
@@ -651,7 +660,7 @@ def verify_solution(
                 f"{demand:g} > requested {requested}"
             )
 
-    return VerificationReport(ok=not violations, violations=tuple(violations))
+    return VerificationReport(tuple(violations))
 
 
 # --- CSV export ------------------------------------------------------
@@ -689,11 +698,7 @@ def solution_to_csv(solution: FlowSolution) -> str:
             )
     writer.writerow([])
     writer.writerow(["pair", "fulfilled_demand", "consumed", "consumption_rate"])
-    consumed_per_commodity = solution.consumed_per_commodity()
-    for i, commodity in enumerate(solution.commodities):
-        delivered = solution.demands[i]
-        consumed = consumed_per_commodity[i]
-        rate = consumed / delivered if delivered > 0 else 0.0
+    for commodity, (delivered, consumed, rate) in zip(solution.commodities, solution.pair_totals()):
         writer.writerow(
             [
                 f"{commodity.source}->{commodity.sink}",

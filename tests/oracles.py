@@ -308,8 +308,7 @@ def sequential_dijkstra_push(
     exactly this solution.
     """
     commodities = [
-        Commodity(source=src, sink=dst, demand_bits=int(demand))
-        for src, dst, demand in requests
+        Commodity(source=src, sink=dst, demand_bits=demand) for src, dst, demand in requests
     ]
     residual = {link.endpoints: link.pool_bits for link in graph.links}
     flows: dict[FlowKey, int] = {}
@@ -333,7 +332,6 @@ def sequential_dijkstra_push(
         commodities=tuple(commodities),
         flows=flows,
         demands=tuple(float(d) for d in fulfilled),
-        objective=float(sum(fulfilled)),
     )
 
 
@@ -802,11 +800,13 @@ def solution_from_csv(text: str) -> FlowSolution:
         flows[(cursor, (edge_from, edge_to))] = value
         total += value
 
-    return FlowSolution(
+    solution = FlowSolution(
         kind=kind,
         status=status,
         commodities=tuple(commodities),
         flows=flows,
         demands=tuple(demands),
-        objective=objective,
     )
+    if solution.objective != objective:
+        raise ValueError(f"header objective {objective} != {solution.objective} from the rows")
+    return solution

@@ -10,7 +10,12 @@ import time
 
 import pytest
 
-from qkdplan.decoy import ChannelObservables, secret_key_rate, single_photon_bounds
+from qkdplan.decoy import (
+    DEFAULT_PROTOCOL,
+    ChannelObservables,
+    secret_key_rate,
+    single_photon_bounds,
+)
 from qkdplan.linkbudget import link_performance, preset_link
 from qkdplan.lp import LpStatus, solve
 from qkdplan.netmodel import accumulate_pools, load_scenario
@@ -108,7 +113,7 @@ def test_key_rate_magnitudes():
     for name, (q_mu, q_nu) in PRINTED_GAINS.items():
         e_mu, e_nu = (x / 100.0 for x in PRINTED_QBER_PERCENT[name])
         obs = ChannelObservables(q_mu=q_mu, e_mu=e_mu, q_nu=q_nu, e_nu=e_nu)
-        rate = secret_key_rate(obs, single_photon_bounds(obs))
+        rate = secret_key_rate(obs, single_photon_bounds(obs, DEFAULT_PROTOCOL), DEFAULT_PROTOCOL)
         rates[name] = rate
         low, high = RATE_WINDOWS_BPS[name]
         ok = ok and low <= rate <= high
@@ -240,11 +245,9 @@ def test_consumption_rate_bound(fig3like):
 
     per_pair_ok = True
     mr = route_mr(fig3like, [(a, b, level) for a, b in all_pairs], gs_relay=True)
-    consumed = mr.consumed_per_commodity()
-    for i, commodity in enumerate(mr.commodities):
-        delivered = mr.demands[i]
+    for delivered, consumed, _ in mr.pair_totals():
         if delivered > 0:  # no GS pair has a direct link, so >= 2 applies to all
-            per_pair_ok = per_pair_ok and consumed[i] >= 2.0 * delivered
+            per_pair_ok = per_pair_ok and consumed >= 2.0 * delivered
 
     ok = per_pair_ok and rate_all >= 2.0 and rate_near <= rate_far
     report(

@@ -1,8 +1,12 @@
 """Command-line interface: outputs, exit codes, determinism."""
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,19 @@ class TestPlanCommand:
         err = capsys.readouterr().err
         assert "nodes[0].kind" in err
 
+    def test_malformed_scenario_exits_1_without_traceback(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"nodes": [{"id": "g1", "kind": ["gs"]}], "links": []}))
+        run = subprocess.run(
+            [sys.executable, "-m", "qkdplan", "plan", str(bad), "--objective", "mmd"],
+            env={**os.environ, "PYTHONPATH": str(Path(router.__file__).resolve().parents[1])},
+            capture_output=True, text=True,
+        )
+        assert run.returncode == EXIT_INPUT_ERROR
+        assert run.stdout == ""
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("error: nodes[0].kind") and run.stderr.count("\n") == 1
+
     def test_deterministic_stdout(self, capsys):
         assert main(["plan", "fig3like", "--objective", "mmd"]) == EXIT_OK
         first = capsys.readouterr().out
@@ -180,9 +197,7 @@ class TestPlanCommand:
         def overdrawn(graph, pairs, gs_relay):
             commodities = tuple(router.Commodity(a, b) for a, b in pairs)
             flows = {(0, ("g1", "s1")): 100, (0, ("s1", "g2")): 100}
-            return router.FlowSolution(
-                "mmd", LpStatus.OPTIMAL, commodities, flows, (100.0,), 100.0
-            )
+            return router.FlowSolution("mmd", LpStatus.OPTIMAL, commodities, flows, (100.0,))
 
         monkeypatch.setattr(router, "route_mmd", overdrawn)
         assert main(["plan", "micro-line", "--objective", "mmd"]) == EXIT_SOLVER_FAILURE
@@ -196,7 +211,7 @@ class TestPlanCommand:
     def test_plan_without_demands_exits_4(self, capsys, monkeypatch):
         def no_demands(graph, pairs, gs_relay):
             commodities = tuple(router.Commodity(a, b) for a, b in pairs)
-            return router.FlowSolution("mmd", LpStatus.OPTIMAL, commodities, {}, (), 0.0)
+            return router.FlowSolution("mmd", LpStatus.OPTIMAL, commodities, {}, ())
 
         monkeypatch.setattr(router, "route_mmd", no_demands)
         assert main(["plan", "micro-line", "--objective", "mmd"]) == EXIT_SOLVER_FAILURE

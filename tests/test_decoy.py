@@ -110,17 +110,17 @@ class TestErrorRates:
 
 class TestGainAndQber:
     def test_geo_reference_column(self):
-        gain, qber = gain_and_qber(0.3, 3.68e-5)
+        gain, qber = gain_and_qber(0.3, 3.68e-5, DEFAULT_PROTOCOL)
         assert gain == pytest.approx(1.27e-5, rel=0.02)
         assert qber == pytest.approx(0.0668, rel=0.02)
 
     def test_vacuum_intensity_gives_background_only(self):
-        gain, qber = gain_and_qber(0.0, 0.77)
+        gain, qber = gain_and_qber(0.0, 0.77, DEFAULT_PROTOCOL)
         assert gain == DEFAULT_PROTOCOL.y0
         assert qber == DEFAULT_PROTOCOL.e0
 
     def test_leo_leo_decoy_reference(self):
-        gain, qber = gain_and_qber(0.1, 6.97e-5)
+        gain, qber = gain_and_qber(0.1, 6.97e-5, DEFAULT_PROTOCOL)
         assert gain == pytest.approx(8.66e-6, rel=0.02)
         assert qber == pytest.approx(0.0981, rel=0.02)
 
@@ -135,7 +135,7 @@ class TestGainAndQber:
     )
     @settings(max_examples=200)
     def test_series_agrees_with_closed_form(self, delta, intensity):
-        q_closed, e_closed = gain_and_qber(intensity, delta)
+        q_closed, e_closed = gain_and_qber(intensity, delta, DEFAULT_PROTOCOL)
         q_series, e_series = gain_and_qber_series(intensity, delta)
         assert q_series == pytest.approx(q_closed, rel=1e-12)
         assert e_series == pytest.approx(e_closed, rel=1e-12)
@@ -146,7 +146,7 @@ class TestGainAndQber:
     )
     @settings(max_examples=200)
     def test_error_gain_identity(self, delta, intensity):
-        gain, qber = gain_and_qber(intensity, delta)
+        gain, qber = gain_and_qber(intensity, delta, DEFAULT_PROTOCOL)
         assert qber * gain == pytest.approx(
             DEFAULT_PROTOCOL.e0 * DEFAULT_PROTOCOL.y0, rel=1e-12
         )
@@ -155,8 +155,8 @@ class TestGainAndQber:
 class TestSinglePhotonBounds:
     def test_forward_model_bound_is_tight(self):
         delta = 6.53e-3
-        obs = forward_observables(delta)
-        bounds = single_photon_bounds(obs)
+        obs = forward_observables(delta, DEFAULT_PROTOCOL)
+        bounds = single_photon_bounds(obs, DEFAULT_PROTOCOL)
         true_y1 = yield_n(1, delta, DEFAULT_PROTOCOL.y0)
         assert bounds.y1_lower <= true_y1
         assert bounds.y1_lower == pytest.approx(delta, rel=0.05)
@@ -168,35 +168,30 @@ class TestSinglePhotonBounds:
         floor = 0.9 * DEFAULT_PROTOCOL.y0
         obs = ChannelObservables(q_mu=floor, e_mu=0.5, q_nu=floor, e_nu=0.5)
         with pytest.raises(BoundCollapseError):
-            single_photon_bounds(obs)
+            single_photon_bounds(obs, DEFAULT_PROTOCOL)
 
     def test_geo_observables_leave_positive_key_margin(self):
-        bounds = single_photon_bounds(GOLDEN_OBSERVABLES["geo-gs"])
+        bounds = single_photon_bounds(GOLDEN_OBSERVABLES["geo-gs"], DEFAULT_PROTOCOL)
         assert bounds.q1_lower > 0
         assert bounds.e1_upper < 0.11  # below the entropy break-even
 
     @pytest.mark.parametrize("delta", [1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5])
     def test_bounds_are_valid_over_grid(self, delta):
-        obs = forward_observables(delta)
-        bounds = single_photon_bounds(obs)
+        obs = forward_observables(delta, DEFAULT_PROTOCOL)
+        bounds = single_photon_bounds(obs, DEFAULT_PROTOCOL)
         assert bounds.y1_lower <= yield_n(1, delta, DEFAULT_PROTOCOL.y0) + 1e-15
         assert bounds.e1_upper >= error_rate_n(1, delta, DEFAULT_PROTOCOL.y0) - 1e-15
-
-    def test_rejects_bad_intensities(self):
-        obs = GOLDEN_OBSERVABLES["geo-gs"]
-        with pytest.raises(ValueError):
-            single_photon_bounds(obs, DecoyProtocolParams(mu=0.3, nu=0.3 - 1e-18))
 
 
 class TestSecretKeyRate:
     def test_leo_gs_reference_magnitude(self):
         obs = GOLDEN_OBSERVABLES["leo-gs"]
-        rate = secret_key_rate(obs, single_photon_bounds(obs))
+        rate = secret_key_rate(obs, single_photon_bounds(obs, DEFAULT_PROTOCOL), DEFAULT_PROTOCOL)
         assert rate == pytest.approx(1000.0, rel=0.5)
 
     def test_geo_gs_reference_magnitude(self):
         obs = GOLDEN_OBSERVABLES["geo-gs"]
-        rate = secret_key_rate(obs, single_photon_bounds(obs))
+        rate = secret_key_rate(obs, single_photon_bounds(obs, DEFAULT_PROTOCOL), DEFAULT_PROTOCOL)
         assert rate == pytest.approx(10.0, rel=0.5)
 
     def test_opaque_channel_rate_is_zero(self):
@@ -226,6 +221,7 @@ class TestProtocolParams:
             {"y0": 1.0},
             {"e0": 1.5},
             {"pulse_rate_hz": 0.0},
+            {"mu": 0.3, "nu": 0.3},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

@@ -204,12 +204,12 @@ class TestPresets:
         assert no_detector.q_mu == pytest.approx(2.26e-5, rel=0.05)
 
     def test_performance_consistent_with_rate_model(self):
-        from qkdplan.decoy import forward_observables
+        from qkdplan.decoy import DEFAULT_PROTOCOL, forward_observables
 
         params = preset_link("geo-gs")
         perf = link_performance(params)
         delta = transmittance(params)
-        obs = forward_observables(delta)
+        obs = forward_observables(delta, DEFAULT_PROTOCOL)
         assert perf.q_mu == obs.q_mu and perf.e_nu == obs.e_nu
         assert perf.rate_bps == forward_key_rate(delta)
         assert perf.rate_bps > 0

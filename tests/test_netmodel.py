@@ -324,6 +324,15 @@ class TestScenarioLoading:
                 {"links": [{"a": "g1", "b": "s1", "preset": "leo-gs", "distance_m": 1e300}]},
                 "links[0]: rate model out of numeric range",
             ),
+            ({"nodes": [{"id": "g1", "kind": ["gs"]}]}, "nodes[0].kind"),
+            ({"requests": None}, "scenario.requests: expected a list"),
+            ({"requests": 5}, "scenario.requests: expected a list"),
+            ({"requests": {}}, "scenario.requests: expected a list"),
+            ({"requests": {"x": 1}}, "scenario.requests: expected a list"),
+            (
+                {"links": [{"a": "g1", "b": "g1", "rate_bps": 5}]},
+                "links[0]: endpoints must be distinct",
+            ),
         ],
     )
     def test_schema_violations_name_the_field(self, patch, fragment):

@@ -10,6 +10,7 @@ from qkdplan.lp import LpStatus
 from qkdplan.router import (
     Commodity,
     FlowSolution,
+    VerificationReport,
     build_lp,
     greedy_round,
     gs_pairs,
@@ -223,7 +224,6 @@ class TestGreedyRound:
             commodities=commodities,
             flows={(0, ("g1", "s1")): 5, (0, ("s1", "g2")): 5},
             demands=(5.0,),
-            objective=5.0,
         )
         rounded = greedy_round(graph, integral, gs_relay=True)
         assert rounded.flows == integral.flows
@@ -245,7 +245,6 @@ class TestGreedyRound:
                 (0, ("s2", "b")): 2.5,
             },
             demands=(5.0,),
-            objective=5.0,
         )
         rounded = greedy_round(graph, fractional, gs_relay=True)
         assert rounded.demands == (6.0,)
@@ -266,7 +265,6 @@ class TestGreedyRound:
                 (0, ("s2", "b")): 2.5,
             },
             demands=(5.0,),
-            objective=10.0,
         )
         rounded = greedy_round(graph, fractional, gs_relay=True)
         assert rounded.demands == (5.0,)
@@ -449,6 +447,19 @@ class TestSequentialDijkstra:
             assert solution.objective == reference.objective, f"case {case}"
 
 
+class TestFixedDemands:
+    @pytest.mark.parametrize("demand", [5.7, 5.0, True, "5"])
+    def test_commodity_demand_must_be_an_integer(self, demand):
+        with pytest.raises(ValueError, match="integer"):
+            Commodity("g1", "g2", demand_bits=demand)
+
+    @pytest.mark.parametrize("demand", [5.7, True])
+    @pytest.mark.parametrize("plan", [route_mr, route_sequential_dijkstra])
+    def test_planners_do_not_truncate_a_demand(self, plan, demand):
+        with pytest.raises(ValueError, match="integer"):
+            plan(line_pools(), [("g1", "g2", demand)], gs_relay=True)
+
+
 class TestGsRelayFlag:
     def test_lp_honors_gs_transit_ban(self, relay_graph):
         with_relay = route_mmd(relay_graph, [("a", "b")], gs_relay=True)
@@ -525,7 +536,6 @@ class TestVerifySolution:
                 (0, ("c", "s1")): 1,
             },
             demands=(5.0,),
-            objective=5.0,
         )
         assert verify_solution(graph, commodities, detour, gs_relay=True).ok
         report = verify_solution(graph, commodities, detour, gs_relay=False)
@@ -548,7 +558,6 @@ class TestVerifySolution:
             commodities=commodities,
             flows={(0, ("g1", "s1")): 4, (0, ("s1", "g2")): 4},
             demands=(4.0,),
-            objective=8.0,
         )
         report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert not report.ok
@@ -566,7 +575,6 @@ class TestVerifySolution:
             commodities=solution.commodities,
             flows=flows,
             demands=solution.demands,
-            objective=solution.objective,
         )
         report = verify_solution(fig3like, solution.commodities, tampered, gs_relay=True)
         assert not report.ok
@@ -581,7 +589,6 @@ class TestVerifySolution:
             commodities=commodities,
             flows={(0, ("g1", "s1")): 7, (0, ("s1", "g2")): 7},
             demands=(7.0,),
-            objective=14.0,
         )
         report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert not report.ok
@@ -596,7 +603,6 @@ class TestVerifySolution:
             commodities=commodities,
             flows={(0, ("g1", "s1")): -1, (0, ("s1", "g2")): -1},
             demands=(-1.0,),
-            objective=0.0,
         )
         report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert any("negative flow" in v for v in report.violations)
@@ -610,7 +616,6 @@ class TestVerifySolution:
             commodities=commodities,
             flows={(0, ("g1", "g2")): 1},
             demands=(0.0,),
-            objective=1.0,
         )
         report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert any("nonexistent link" in v for v in report.violations)
@@ -626,7 +631,6 @@ class TestVerifySolution:
             commodities=commodities,
             flows={(0, ("g1", "g2")): 1},
             demands=(1.0,),
-            objective=1.0,
         )
         report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert report.violations == ("flow on nonexistent link g1-g2 (commodity 0)",)
@@ -661,7 +665,7 @@ class TestVerifySolution:
     def test_malformed_plan_detected(self, flows, demands, violation):
         graph = line_pools()
         commodities = (Commodity("g1", "g2"),)
-        bogus = FlowSolution("mmd", LpStatus.OPTIMAL, commodities, flows, demands, None)
+        bogus = FlowSolution("mmd", LpStatus.OPTIMAL, commodities, flows, demands)
         report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert violation in report.violations
 
@@ -674,10 +678,37 @@ class TestVerifySolution:
             commodities=commodities,
             flows={(3, ("g1", "s1")): 1, (3, ("s1", "g2")): 1},
             demands=(0.0,),
-            objective=0.0,
         )
         report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert report.violations == ("flow references unknown commodity index 3",)
+
+
+class TestDerivedValues:
+    @pytest.mark.parametrize("kind, objective", [("mmd", 2.0), ("mr", 14.0), ("dijkstra", 7.0)])
+    def test_objective_follows_the_kind(self, kind, objective):
+        flows = {
+            (0, ("g1", "s1")): 2, (0, ("s1", "g2")): 2,
+            (1, ("g1", "s1")): 5, (1, ("s1", "g2")): 5,
+        }
+        commodities = (Commodity("g1", "g2"), Commodity("g1", "g2"))
+        solution = FlowSolution(kind, LpStatus.OPTIMAL, commodities, flows, (2.0, 5.0))
+        assert solution.objective == objective
+        assert dataclasses.replace(solution, status=LpStatus.INFEASIBLE).objective is None
+
+    def test_replaced_flows_and_demands_update_every_total(self):
+        plan = route_mr(line_pools(10, 10), [("g1", "g2", 3), ("g1", "g2", 0)], gs_relay=True)
+        assert plan.objective == 6.0
+        assert plan.pair_totals() == ((3.0, 6, 2.0), (0.0, 0, 0.0))
+        doubled = {key: 2 * value for key, value in plan.flows.items()}
+        more = dataclasses.replace(plan, flows=doubled, demands=(6.0, 0.0))
+        assert more.objective == 12.0
+        assert more.pair_totals() == ((6.0, 12, 2.0), (0.0, 0, 0.0))
+
+    def test_report_is_ok_exactly_without_violations(self):
+        assert VerificationReport(()).ok
+        assert not VerificationReport(("x",)).ok
+        with pytest.raises(TypeError):
+            VerificationReport(ok=True, violations=("x",))
 
 
 class TestCsvRoundTrip:
@@ -778,8 +809,6 @@ class TestRandomizedProperties:
         for case in range(40):
             graph, pairs = random_instance(rng, max_paths=None)
             mmd = route_mmd(graph, pairs, gs_relay=True)
-            consumed = mmd.consumed_per_commodity()
-            for i, commodity in enumerate(mmd.commodities):
-                delivered = mmd.demands[i]
+            for delivered, consumed, _ in mmd.pair_totals():
                 if delivered > 0:
-                    assert consumed[i] >= 2 * delivered, f"case {case}"
+                    assert consumed >= 2 * delivered, f"case {case}"
