@@ -8,25 +8,33 @@ pivots by Dantzig's rule for speed and, after a run of degenerate pivots,
 by Bland's rule for the rest of that phase, which guarantees termination
 on the highly degenerate flow LPs this package produces.
 
-Two shortcuts skip work whose result is known exactly:
+Phase 1, the eviction of artificials that follows it, and every phase
+whose cost has two or more nonzeros run on the full row-major tableau and
+price with the full product cost[basis] @ T.  A phase whose cost has at
+most one nonzero, cost[k] (phase 2 of every max-min demand LP, whose cost
+is -t), runs on a condensed tableau instead: one C-contiguous line per
+nonbasic column, the rhs last, and an array naming each line's variable.
+The basic columns are unit vectors and are not stored.  Such a phase
+prices from one tableau row, read across the lines: the reduced costs
+are -cost[k] * (row of k) when k is basic, and cost itself when it is
+not.
+The full product adds that one rounded product to exact zeros, so the
+reduced costs are the same values.  The other phases keep the full width
+because a BLAS product's bits depend on where each column sits (with
+OpenBLAS, most random tableaux priced differently once their columns were
+permuted), and a condensed tableau moves a column at every pivot.
 
-- A phase whose cost has at most one nonzero, cost[k], prices from one
-  tableau row: the reduced costs are cost - cost[k] * (row of k) when k
-  is basic, and cost itself when it is not.  The full product
-  cost[basis] @ T adds that one rounded product to exact zeros, in any
-  summation order, so the reduced costs are the same bits.  Phase 2 of
-  such a program (every max-min demand LP, whose cost is -t) keeps its
-  tableau in column-major (Fortran) order; every other phase keeps
-  row-major order, so its pricing product runs as before.
-- A pivot updates only the lines along the tableau's contiguous axis that
-  can change: in a row-major tableau the rows whose pivot-column entry is
-  nonzero, in a column-major one the columns whose pivot-row entry is
-  nonzero, or the whole tableau when those are more than half.  A skipped
-  line would have had exact zeros subtracted.
+Every pivot updates only the lines that can change: the rows whose
+pivot-column entry is nonzero, or on the condensed tableau the lines
+whose pivot-row entry is nonzero; all of them when those are more than
+half.  A skipped line would have had exact zeros subtracted.  The rank-1
+product comes from np.einsum, one rounded multiplication per entry as in
+np.outer, at about 60% of its cost.
 
-So the layout and the shortcuts change no pivot and no bit of the result.
-Everything is deterministic: identical inputs take identical pivot
-sequences and return identical solutions.
+So the layouts and the shortcuts change no pivot and no value: at most
+the sign of a zero, and the returned x holds no -0.0.  Everything is
+deterministic: identical inputs take identical pivot sequences and
+return identical solutions.
 """
 from __future__ import annotations
 
@@ -120,16 +128,11 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     # Columns: structural | ub slacks | artificials | rhs.  A <= row with a
     # nonnegative rhs starts on its slack; every other row gets an
-    # artificial, in row order.  Phase 1 is row-major; phase 2 is
-    # column-major when its cost has at most one nonzero.
+    # artificial, in row order.
     first_artificial = n + m_ub
     artificial_rows = np.flatnonzero(negative | (np.arange(b.size) >= m_ub))
     artificial_cols = first_artificial + np.arange(artificial_rows.size)
-    phase2_order = "F" if np.count_nonzero(lp.objective) <= 1 else "C"
-    t = np.zeros(
-        (b.size, first_artificial + artificial_rows.size + 1),
-        order="C" if artificial_rows.size else phase2_order,
-    )
+    t = np.zeros((b.size, first_artificial + artificial_rows.size + 1))
     t[:m_ub, :n] = lp.a_ub
     t[np.arange(m_ub), np.arange(n, first_artificial)] = 1.0
     t[m_ub:, :n] = lp.a_eq
@@ -138,7 +141,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     t[artificial_rows, artificial_cols] = 1.0
     basis = np.arange(n, n + b.size)
     basis[artificial_rows] = artificial_cols
-    basis = basis.tolist()
+    keep = np.arange(b.size)
 
     if artificial_rows.size:
         phase1_cost = np.zeros(t.shape[1] - 1)
@@ -148,88 +151,126 @@ def solve(lp: LinearProgram) -> LpSolution:
         scale = max(1.0, float(np.abs(b).max(initial=0.0)))
         if float(phase1_cost[basis] @ t[:, -1]) > _FEAS_TOL * scale:
             return LpSolution(status=LpStatus.INFEASIBLE)
-        t, basis = _evict_artificials(t, basis, first_artificial, phase2_order)
+        keep = _evict_artificials(t, basis, first_artificial)
 
-    phase2_cost = np.zeros(t.shape[1] - 1)
-    phase2_cost[:n] = lp.objective
-    if _run(t, basis, phase2_cost) is LpStatus.UNBOUNDED:
+    # Phase 2 runs on one copy of the kept rows without the artificial
+    # columns: full width and row-major, or condensed for a single cost.
+    basis = basis[keep]
+    cost = np.zeros(first_artificial)
+    cost[:n] = lp.objective
+    if np.count_nonzero(cost) <= 1:
+        nonbasic = np.ones(first_artificial, dtype=bool)
+        nonbasic[basis] = False
+        var = np.flatnonzero(nonbasic)
+        t = t.T[np.ix_(np.r_[var, -1], keep)]
+        status = _run_single_cost(t, var, basis, cost)
+        rhs = t[-1]
+    else:
+        t = t[np.ix_(keep, np.r_[:first_artificial, -1])]
+        status = _run(t, basis, cost)
+        rhs = t[:, -1]
+    if status is LpStatus.UNBOUNDED:
         return LpSolution(status=LpStatus.UNBOUNDED)
 
-    values = np.zeros(t.shape[1] - 1)
-    values[basis] = t[:, -1]
+    values = np.zeros(first_artificial)
+    values[basis] = rhs
     x = values[:n] + 0.0  # no -0.0 entries
     if not _feasible(lp, x):  # pragma: no cover - numerical safety net
         raise ArithmeticError("simplex returned an infeasible point")
     return LpSolution(status=LpStatus.OPTIMAL, x=x, objective_value=float(lp.objective @ x))
 
 
-def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    """Make column col basic in row, in place.
+def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Make column col basic in row of the row-major tableau t, in place.
 
-    Every entry gets t[i, j] - column[i] * pivot_row[j].  Where either
-    factor is zero that subtracts an exact zero (the tableau is finite),
-    which changes no value, at most the sign of a zero.  One rule runs on
-    whichever of t and t.T is C-contiguous: its lines are the rows of t,
-    each scaled by its pivot-column entry, or the columns of t, each scaled
-    by its pivot-row entry.  Only the lines with a nonzero factor are
-    updated, or all of them when those are more than half, since gathering
-    and scattering cost about twice a full update per line.  Either way
-    the tableau, the pivot sequence and the solution are those of the full
-    update.
+    Every entry gets t[i, j] - column[i] * pivot_row[j].  Where the column
+    entry is zero that subtracts exact zeros (the tableau is finite), which
+    changes no value, at most the sign of a zero.  So only the rows with a
+    nonzero column entry are updated, or all of them when those are more
+    than half, since gathering and scattering cost about twice a full
+    update per row.  Either way the tableau, the pivot sequence and the
+    solution are those of the full update.
     """
     t[row] /= t[row, col]
     column = t[:, col].copy()
     column[row] = 0.0
-    lines, factor, line = (t, column, t[row]) if t.flags.c_contiguous else (t.T, t[row], column)
-    hit = np.flatnonzero(factor)
-    if 2 * hit.size > lines.shape[0]:
-        lines -= np.outer(factor, line)
+    hit = np.flatnonzero(column)
+    if 2 * hit.size > t.shape[0]:
+        t -= np.einsum("i,j->ij", column, t[row])
     else:
-        lines[hit] -= np.outer(factor[hit], line)
+        t[hit] -= np.einsum("i,j->ij", column[hit], t[row])
     t[:, col] = 0.0
     t[row, col] = 1.0
     basis[row] = col
 
 
-def _run(t: np.ndarray, basis: list[int], cost: np.ndarray) -> LpStatus:
-    """Pivot the tableau [A | b] in place until cost is optimal or unbounded.
+def _pivot_condensed(lines: np.ndarray, var: np.ndarray, basis: np.ndarray, row: int, slot: int) -> None:
+    """Swap var[slot] into the basis at row and basis[row] into slot, in place.
+
+    lines holds one C-contiguous line per nonbasic column, lines[s] being
+    column var[s] of the full tableau, and the rhs last.  The entering
+    column is saved and the leaving variable's unit column e_row takes its
+    slot; then the full tableau's pivot runs on what is stored: divide the
+    pivot row, subtract the rank-1 product from every line whose pivot-row
+    entry is nonzero (or from all of them when those are more than half).
+    Each stored entry gets the full tableau's float operations.  The basic
+    columns left out are unit vectors, which that update leaves as they
+    are, and the entering column's new value is a unit vector too.
+    """
+    column = lines[slot].copy()
+    lines[slot] = 0.0
+    lines[slot, row] = 1.0
+    lines[:, row] /= column[row]
+    column[row] = 0.0
+    factor = lines[:, row]
+    hit = factor.nonzero()[0]  # np.flatnonzero would copy the strided factor first
+    if 2 * hit.size > lines.shape[0]:
+        lines -= np.einsum("i,j->ij", factor, column)
+    else:
+        lines[hit] -= np.einsum("i,j->ij", factor[hit], column)
+    var[slot], basis[row] = basis[row], var[slot]
+
+
+def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> tuple[int, float]:
+    """The ratio test: the leaving row and its ratio, or (-1, 0.0) if unbounded.
+
+    Among the rows within tolerance of the least ratio, Bland's tie-break
+    leaves on the one whose basic variable has the smallest index (which
+    also keeps Dantzig mode deterministic).
+    """
+    rows = np.flatnonzero(column > _PIVOT_TOL)
+    if rows.size == 0:
+        return -1, 0.0
+    ratios = rhs[rows] / column[rows]
+    best = float(ratios.min())
+    near = rows[ratios <= best + 1e-12 + 1e-9 * abs(best)]
+    leave = near[0] if near.size == 1 else near[np.argmin(basis[near])]
+    return int(leave), best
+
+
+def _run(t: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> LpStatus:
+    """Pivot the row-major tableau [A | b] in place until cost is optimal or unbounded.
 
     Dantzig's rule picks the entering column until _DEGENERATE_SWITCH
     degenerate pivots come in a row; Bland's rule then holds for the rest
-    of this run.  The reduced costs are cost - cost[basis] @ T.  When cost
-    has at most one nonzero, cost[k], that product is cost[k] times the row
-    where k is basic plus exact zeros, or all zeros when k is nonbasic, so
-    it is taken from that one row: the same bits in either tableau order.
+    of this run.  The reduced costs are cost - cost[basis] @ T.
     """
-    costed = np.flatnonzero(cost)
-    single_cost = costed.size <= 1
-    k = int(costed[0]) if costed.size else -1  # -1 is never basic
     blands_rule = False
     degenerate_run = 0
     for _ in range(200 * (t.shape[0] + t.shape[1] - 1) + 10_000):
-        if not single_cost:
-            reduced = cost - cost[basis] @ t[:, :-1]
-        elif k in basis:
-            reduced = cost - cost[k] * t[basis.index(k), :-1]
-        else:
-            reduced = cost
-        candidates = np.where(reduced < -_OPT_TOL)[0]
-        if candidates.size == 0:
-            return LpStatus.OPTIMAL
+        reduced = cost - cost[basis] @ t[:, :-1]
         if blands_rule:
-            col = int(candidates[0])
+            entering = reduced < -_OPT_TOL
+            col = int(np.argmax(entering))
+            if not entering[col]:
+                return LpStatus.OPTIMAL
         else:
-            col = int(candidates[np.argmin(reduced[candidates])])
-        column = t[:, col]
-        rows = np.where(column > _PIVOT_TOL)[0]
-        if rows.size == 0:
+            col = int(np.argmin(reduced))
+            if not reduced[col] < -_OPT_TOL:
+                return LpStatus.OPTIMAL
+        leave, best = _leaving_row(t[:, col], t[:, -1], basis)
+        if leave < 0:
             return LpStatus.UNBOUNDED
-        ratios = t[rows, -1] / column[rows]
-        best = ratios.min()
-        near = rows[ratios <= best + 1e-12 + 1e-9 * abs(best)]
-        # Bland tie-break: leave on the row whose basic variable has the
-        # smallest index (also keeps Dantzig mode deterministic).
-        leave = int(min(near, key=lambda r: basis[r]))
         if best <= _PIVOT_TOL:
             degenerate_run += 1
             blands_rule = blands_rule or degenerate_run >= _DEGENERATE_SWITCH
@@ -239,27 +280,70 @@ def _run(t: np.ndarray, basis: list[int], cost: np.ndarray) -> LpStatus:
     raise RuntimeError("simplex iteration limit exceeded")  # pragma: no cover
 
 
-def _evict_artificials(
-    t: np.ndarray, basis: list[int], first_artificial: int, order: str
-) -> tuple[np.ndarray, list[int]]:
+def _run_single_cost(lines: np.ndarray, var: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> LpStatus:
+    """_run for a cost with at most one nonzero, cost[k], on the condensed lines.
+
+    lines[s] is the column of variable var[s], and lines[-1] the rhs.  The
+    nonbasic columns' reduced costs are -cost[k] * (row where k is basic),
+    or cost itself when k is nonbasic; the basic columns' are zero, never
+    a candidate.  The rules see the variables through var, so they pick
+    what _run picks on the full tableau: Dantzig's rule the smallest
+    variable among the exact minima, Bland's the smallest candidate.
+    """
+    if var.size == 0:
+        return LpStatus.OPTIMAL
+    costed = np.flatnonzero(cost)
+    k = int(costed[0]) if costed.size else -1  # -1 is never basic
+    weight = -cost[k]
+    at = np.flatnonzero(basis == k)
+    row_k = int(at[0]) if at.size else -1  # where k is basic, or -1
+    blands_rule = False
+    degenerate_run = 0
+    for _ in range(200 * (2 * basis.size + var.size) + 10_000):
+        reduced = cost[var] if row_k < 0 else lines[:-1, row_k] * weight
+        if blands_rule:
+            entering = reduced < -_OPT_TOL
+            slot = int(np.argmin(np.where(entering, var, cost.size)))
+            if not entering[slot]:
+                return LpStatus.OPTIMAL
+        else:
+            slot = int(np.argmin(reduced))
+            if not reduced[slot] < -_OPT_TOL:
+                return LpStatus.OPTIMAL
+            ties = np.flatnonzero(reduced == reduced[slot])
+            if ties.size > 1:
+                slot = int(ties[np.argmin(var[ties])])
+        leave, best = _leaving_row(lines[slot], lines[-1], basis)
+        if leave < 0:
+            return LpStatus.UNBOUNDED
+        if best <= _PIVOT_TOL:
+            degenerate_run += 1
+            blands_rule = blands_rule or degenerate_run >= _DEGENERATE_SWITCH
+        else:
+            degenerate_run = 0
+        if var[slot] == k:
+            row_k = leave
+        elif basis[leave] == k:
+            row_k = -1
+        _pivot_condensed(lines, var, basis, leave, slot)
+    raise RuntimeError("simplex iteration limit exceeded")  # pragma: no cover
+
+
+def _evict_artificials(t: np.ndarray, basis: np.ndarray, first_artificial: int) -> np.ndarray:
     """Pivot zero-level artificial variables out of the basis after phase 1.
 
-    Rows whose artificial cannot be replaced are redundant constraints and
-    are dropped.  Returns the phase-2 tableau (kept rows, artificial
-    columns removed) in ``order`` ("C" or "F"), built in one copy, and its
-    basis; the F copy is gathered from the transpose.
+    Rows whose artificial cannot be replaced are redundant constraints;
+    returns the rows to keep.
     """
     keep = []
     for row in range(t.shape[0]):
         if basis[row] >= first_artificial:
-            candidates = np.where(np.abs(t[row, :first_artificial]) > _PIVOT_TOL)[0]
+            candidates = np.flatnonzero(np.abs(t[row, :first_artificial]) > _PIVOT_TOL)
             if candidates.size == 0:
                 continue
             _pivot(t, basis, row, int(candidates[0]))
         keep.append(row)
-    cols = np.r_[:first_artificial, -1]
-    t = t[np.ix_(keep, cols)] if order == "C" else t.T[np.ix_(cols, keep)].T
-    return t, [basis[row] for row in keep]
+    return np.array(keep, dtype=int)
 
 
 def _feasible(lp: LinearProgram, x: np.ndarray) -> bool:

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 from . import linkbudget
 
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9_\-]+$")
+# Every whole number up to 2**53 is exactly a float.  The LP carries
+# demands as floats, so a larger request could be planned short.
+_MAX_DEMAND = 2**53
 
 
 class ScenarioError(ValueError):
@@ -265,6 +268,35 @@ def _parse_link(entry: dict, where: str) -> Link:
     return Link(a=a, b=b, rate_bps=rate)
 
 
+def _graph_fault(nodes: list[Node], entries: list[dict]) -> Optional[str]:
+    """The first repeated node id, link to an undeclared node, direct
+    ground-station link or duplicate link, named by its field; None if none.
+
+    Runs only after ``QkdGraph`` rejected the graph, so a valid scenario
+    pays nothing for it.
+    """
+    first_node: dict[str, int] = {}
+    for i, node in enumerate(nodes):
+        if node.id in first_node:
+            return (f"nodes[{i}].id: duplicate node id {node.id!r}, "
+                    f"first declared at nodes[{first_node[node.id]}]")
+        first_node[node.id] = i
+    first_link: dict[tuple[str, str], int] = {}
+    for i, entry in enumerate(entries):
+        a, b = entry["a"], entry["b"]
+        for field, end in (("a", a), ("b", b)):
+            if end not in first_node:
+                return f"links[{i}].{field}: unknown node {end!r}"
+        if nodes[first_node[a]].kind == nodes[first_node[b]].kind == NodeKind.GROUND_STATION:
+            return f"links[{i}]: ground stations {a!r} and {b!r} cannot share a direct link"
+        pair = canonical_pair(a, b)
+        if pair in first_link:
+            return (f"links[{i}]: duplicate link between {a!r} and {b!r}, "
+                    f"first given at links[{first_link[pair]}]")
+        first_link[pair] = i
+    return None
+
+
 def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     """Load and validate a scenario from a JSON file or an equivalent dict.
 
@@ -336,9 +368,9 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         dst = _check_id(entry["dst"], f"{where}.dst")
         demand = entry["demand_bits"]
         _require(
-            isinstance(demand, int) and _is_number(demand) and demand >= 0,
+            isinstance(demand, int) and _is_number(demand) and 0 <= demand <= _MAX_DEMAND,
             f"{where}.demand_bits",
-            f"expected an integer from 0 to {sys.float_info.max:.3g}, got {demand!r}",
+            f"expected an integer from 0 to 2**53 = {_MAX_DEMAND}, got {demand!r}",
         )
         requests.append(Request(src=src, dst=dst, demand_bits=demand))
 
@@ -352,7 +384,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     try:
         graph = QkdGraph(nodes=tuple(nodes), links=tuple(links))
     except ValueError as exc:
-        raise ScenarioError(f"scenario graph: {exc}") from exc
+        raise ScenarioError(_graph_fault(nodes, raw["links"]) or f"scenario graph: {exc}") from exc
 
     node_kinds = {n.id: n.kind for n in nodes}
     for i, req in enumerate(requests):

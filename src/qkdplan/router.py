@@ -583,9 +583,11 @@ def verify_solution(
     ``gs_relay=False`` any positive flow touching a ground station other
     than the commodity's endpoints is a violation, reported once per
     commodity and station; a commodity with ``demand_bits`` set may not be
-    delivered more than that.  Flows of a commodity index outside
-    ``commodities`` are reported once per index.  The plan must give one
-    finite, nonnegative demand per commodity, and every flow must be finite.
+    delivered more than that, and in an ``mr`` plan not less either (the
+    ``dijkstra`` baseline may fall short by design).  Flows of a commodity
+    index outside ``commodities`` are reported once per index.  The plan
+    must give one finite, nonnegative demand per commodity, and every flow
+    must be finite.
     """
     commodities, demands = tuple(commodities), solution.demands
     violations: list[str] = []
@@ -658,6 +660,11 @@ def verify_solution(
             violations.append(
                 f"commodity {i} ({commodity.source}->{commodity.sink}) delivers "
                 f"{demand:g} > requested {requested}"
+            )
+        if solution.kind == "mr" and requested is not None and demand < requested:
+            violations.append(
+                f"commodity {i} ({commodity.source}->{commodity.sink}) delivers "
+                f"{demand:.0f} < requested {requested}"
             )
 
     return VerificationReport(tuple(violations))

@@ -8,8 +8,9 @@ and the search-and-push reference for the sequential baseline: they
 share the router's min-hop search (itself checked against
 ``simple_paths``), and the first also its stage 1, so that only the
 filling loop is under test.  ``pivot_dense`` is the simplex pivot with
-the full-tableau update, which the line-skipping ``lp._pivot`` must equal,
-and ``solve_row_major`` the simplex with a row-major tableau and the full
+the full-tableau update, which the row-skipping ``lp._pivot`` must equal,
+``pivot_condensed_dense`` the same for ``lp._pivot_condensed``, and
+``solve_row_major`` the simplex with a full row-major tableau and the full
 reduced-cost product in every phase, which ``lp.solve`` must equal.
 The reference models check the planner's assumptions from first principles:
 drawing bits from one link's pool, trusted-relay forwarding with
@@ -424,13 +425,24 @@ def pivot_dense(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
+def pivot_condensed_dense(lines, var, basis, row: int, slot: int) -> None:
+    """``lp._pivot_condensed`` with the full update: every line, zero pivot-row entry or not."""
+    column = lines[slot].copy()
+    lines[slot] = 0.0
+    lines[slot, row] = 1.0
+    lines[:, row] /= column[row]
+    column[row] = 0.0
+    lines -= np.outer(lines[:, row], column)
+    var[slot], basis[row] = basis[row], var[slot]
+
+
 EVICT, PHASE2 = "evict", "phase 2"
 
 
 def solve_row_major(lp: LinearProgram, trace: Optional[list] = None) -> LpSolution:
     """``lp.solve`` as it was before single-cost phases had their own path.
 
-    Every phase keeps a row-major tableau, computes its reduced costs with
+    Every phase keeps a full row-major tableau, computes its reduced costs with
     the full product ``cost[basis] @ T`` on every iteration and pivots with
     ``pivot_dense``.  ``trace``, when given, receives every ``(row, col)``
     pivoted, with ``EVICT`` and ``PHASE2`` marking the start and the end of

@@ -32,6 +32,7 @@ from qkdplan.router import (
 )
 
 from oracles import (
+    build_graph,
     mmd_integral_optimum,
     mr_integral_optimum,
     random_instance,
@@ -225,6 +226,43 @@ def test_constraint_suite():
         assert verify_solution(graph, dijkstra.commodities, dijkstra, gs_relay=True).ok
         runs += 1
     report(f"constraint suite: {runs} randomized runs all verified", True)
+
+
+def short_lines(solution):
+    """The verifier's line for each commodity delivered less than it requested."""
+    return [
+        f"commodity {i} ({c.source}->{c.sink}) delivers {d:.0f} < requested {c.demand_bits}"
+        for i, (c, d) in enumerate(zip(solution.commodities, solution.demands))
+        if d < c.demand_bits
+    ]
+
+
+@pytest.mark.slow
+def test_tight_requests():
+    """Requests at the fractional max-min split: every mr plan meets them
+    all, or its verification names exactly the pairs it leaves short."""
+    rng = random.Random(8675309)
+    ring = ["g1", "s1", "g2", "s2", "g3", "s3", "g4", "s4"]
+    instances = [(
+        build_graph({n: "gs" if n[0] == "g" else "leo" for n in ring},
+                    [(a, b, 1) for a, b in zip(ring, ring[1:] + ring[:1])]),
+        [("g1", "g3"), ("g2", "g4")],
+    )]
+    instances += [random_instance(rng, max_commodities=6, max_paths=None) for _ in range(300)]
+    plans = short = 0
+    for graph, pairs in instances:
+        for gs_relay in (True, False):
+            commodities = [Commodity(a, b) for a, b in pairs]
+            split = solve_fractional(graph, commodities, "mmd", gs_relay=gs_relay)
+            requests = [(a, b, int(d + 1e-9)) for (a, b), d in zip(pairs, split.demands)]
+            mr = route_mr(graph, requests, gs_relay=gs_relay)
+            assert mr.status is LpStatus.OPTIMAL
+            verdict = verify_solution(graph, mr.commodities, mr, gs_relay=gs_relay)
+            assert list(verdict.violations) == short_lines(mr)
+            plans += 1
+            short += not verdict.ok
+    report(f"tight requests: {plans} mr plans, {short} short and each short pair reported",
+           short >= 1)
 
 
 def grouping_run(graph, pairs):

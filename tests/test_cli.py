@@ -244,6 +244,47 @@ class TestPlanCommand:
             "error: verification failed: the plan has a fractional flow or demand\n"
         )
 
+    def test_mr_plan_short_of_a_request_exits_4(self, tmp_path, capsys):
+        # a ring g1-s1-g2-s2-g3-s3-g4-s4 of one-bit pools: the LP sends half
+        # a bit each way round for both requests, which no integral plan meets
+        ring = ["g1", "s1", "g2", "s2", "g3", "s3", "g4", "s4"]
+        doc = {
+            "nodes": [{"id": n, "kind": "gs" if n[0] == "g" else "leo"} for n in ring],
+            "links": [{"a": a, "b": b, "rate_bps": 1} for a, b in zip(ring, ring[1:] + ring[:1])],
+            "elapsed_seconds": 1,
+            "requests": [
+                {"src": "g1", "dst": "g3", "demand_bits": 1},
+                {"src": "g2", "dst": "g4", "demand_bits": 1},
+            ],
+        }
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", str(path), "--objective", "mr"]) == EXIT_SOLVER_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: verification failed: commodity 1 (g2->g4) delivers 0 < requested 1\n"
+        )
+
+    def test_request_beyond_exact_float_range_exits_1(self, tmp_path, capsys):
+        doc = {
+            "nodes": [{"id": "g1", "kind": "gs"}, {"id": "s1", "kind": "leo"},
+                      {"id": "g2", "kind": "gs"}],
+            "links": [{"a": "g1", "b": "s1", "rate_bps": 2.0**62},
+                      {"a": "s1", "b": "g2", "rate_bps": 2.0**62}],
+            "elapsed_seconds": 1,
+            "requests": [{"src": "g1", "dst": "g2", "demand_bits": 2**60 + 1}],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", str(path), "--objective", "mr"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: requests[0].demand_bits: expected an integer from 0 to 2**53 = "
+            "9007199254740992, got 1152921504606846977\n"
+        )
+
     @pytest.mark.parametrize(
         "elapsed, rate, distance, fragment",
         [

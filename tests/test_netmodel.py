@@ -333,6 +333,27 @@ class TestScenarioLoading:
                 {"links": [{"a": "g1", "b": "g1", "rate_bps": 5}]},
                 "links[0]: endpoints must be distinct",
             ),
+            (
+                {"nodes": SCENARIO["nodes"] + [{"id": "g1", "kind": "leo"}]},
+                "nodes[3].id: duplicate node id 'g1', first declared at nodes[0]",
+            ),
+            (
+                {"links": [{"a": "g1", "b": "s1", "rate_bps": 5}, {"a": "zz", "b": "s1", "rate_bps": 5}]},
+                "links[1].a: unknown node 'zz'",
+            ),
+            (
+                {"links": [{"a": "g1", "b": "s1", "rate_bps": 5}, {"a": "s1", "b": "g1", "rate_bps": 6}]},
+                "links[1]: duplicate link between 's1' and 'g1', first given at links[0]",
+            ),
+            (
+                {"requests": [{"src": "g1", "dst": "g2", "demand_bits": 2**53 + 1}]},
+                "requests[0].demand_bits: expected an integer from 0 to 2\\*\\*53 = 9007199254740992, "
+                "got 9007199254740993",
+            ),
+            (
+                {"links": [{"a": "g2", "b": "g1", "rate_bps": 5}]},
+                "links[0]: ground stations 'g2' and 'g1' cannot share a direct link",
+            ),
         ],
     )
     def test_schema_violations_name_the_field(self, patch, fragment):

@@ -1,17 +1,19 @@
 """The simplex takes the row-major dense solver's every step.
 
-``lp._pivot`` updates only the lines along the tableau's contiguous axis
-that can change (the whole tableau when those are most of it);
+``lp._pivot`` updates only the rows of the row-major tableau that can
+change (the whole tableau when those are most of it);
 ``oracles.pivot_dense`` always updates the whole tableau.  ``lp.solve``
-prices a phase whose cost has one nonzero from one tableau row and keeps
-that phase's tableau column-major; ``oracles.solve_row_major`` keeps every
-tableau row-major, computes the full reduced-cost product every iteration
-and pivots with ``pivot_dense``.  Each program here is solved three ways:
-by ``lp.solve``, by ``lp.solve`` with ``pivot_dense`` in place of
-``lp._pivot``, and by ``solve_row_major``, recording every ``(row, col)``
-pivoted and where artificial eviction starts and ends.  The three must
-take the same pivots and return the same status, the same ``x`` bytes and
-the same objective.
+runs a phase whose cost has one nonzero on a condensed tableau, one line
+per nonbasic column, pivoted by ``lp._pivot_condensed``, which updates only
+the lines that can change; ``oracles.pivot_condensed_dense`` updates every
+line.  ``oracles.solve_row_major`` keeps every tableau full and row-major,
+computes the full reduced-cost product every iteration and pivots with
+``pivot_dense``.  Each program here is solved three ways: by ``lp.solve``,
+by ``lp.solve`` with the dense pivots in place of its own, and by
+``solve_row_major``, recording every pivot as ``(row, entering variable)``
+and where artificial eviction starts and ends.  The three must take the
+same pivots and return the same status, the same ``x`` bytes and the same
+objective.
 """
 import collections
 import random
@@ -22,32 +24,51 @@ import pytest
 from qkdplan import lp
 from qkdplan.router import Commodity, build_lp
 
-from oracles import EVICT, PHASE2, pivot_dense, random_instance, solve_row_major
+from oracles import (
+    EVICT,
+    PHASE2,
+    build_graph,
+    pivot_condensed_dense,
+    pivot_dense,
+    random_instance,
+    solve_row_major,
+)
 
 
 def update_kind(t, row, col):
-    """The update ``lp._pivot`` makes: "rows", "columns", "all rows" or "all columns"."""
-    if t.flags.c_contiguous:
-        return ("" if 2 * (np.count_nonzero(t[:, col]) - 1) <= t.shape[0] else "all ") + "rows"
-    return ("" if 2 * np.count_nonzero(t[row]) <= t.shape[1] else "all ") + "columns"
+    """The update ``lp._pivot`` makes: "rows" or "all rows"."""
+    return ("" if 2 * (np.count_nonzero(t[:, col]) - 1) <= t.shape[0] else "all ") + "rows"
 
 
-def solve_recording(monkeypatch, program, pivot):
-    """Solve with ``pivot`` in place of ``lp._pivot``.
+def condensed_update_kind(lines, row):
+    """The update ``lp._pivot_condensed`` makes: "columns" or "all columns"."""
+    return ("" if 2 * np.count_nonzero(lines[:, row]) <= lines.shape[0] else "all ") + "columns"
 
-    Returns the trace, a count of the pivots by the update ``lp._pivot``
-    makes for them (``update_kind``) and the solution.  The trace lists the
-    pivots in order, with ``EVICT`` and ``PHASE2`` marking the start and
-    the end of artificial eviction.
+
+def solve_recording(monkeypatch, program, dense=False):
+    """Solve with the dense pivots in place of ``lp.solve``'s own when ``dense``.
+
+    Returns the trace, a count of the pivots by the update ``lp.solve``'s
+    own pivots make for them (``update_kind``, ``condensed_update_kind``)
+    and the solution.  The trace lists the pivots in order as
+    ``(row, entering variable)``, with ``EVICT`` and ``PHASE2`` marking the
+    start and the end of artificial eviction.
     """
     trace = []
     kinds = collections.Counter()
+    pivot = pivot_dense if dense else lp._pivot
+    pivot_condensed = pivot_condensed_dense if dense else lp._pivot_condensed
     evict = lp._evict_artificials
 
     def recording_pivot(t, basis, row, col):
         trace.append((row, col))
         kinds[update_kind(t, row, col)] += 1
         pivot(t, basis, row, col)
+
+    def recording_pivot_condensed(lines, var, basis, row, slot):
+        trace.append((row, int(var[slot])))
+        kinds[condensed_update_kind(lines, row)] += 1
+        pivot_condensed(lines, var, basis, row, slot)
 
     def recording_evict(*args):
         trace.append(EVICT)
@@ -57,6 +78,7 @@ def solve_recording(monkeypatch, program, pivot):
 
     with monkeypatch.context() as m:
         m.setattr(lp, "_pivot", recording_pivot)
+        m.setattr(lp, "_pivot_condensed", recording_pivot_condensed)
         m.setattr(lp, "_evict_artificials", recording_evict)
         solution = lp.solve(program)
     return trace, kinds, solution
@@ -70,8 +92,8 @@ def outcome(solution):
 
 def assert_same_as_dense(monkeypatch, program):
     """Solve all three ways, assert equal traces and outcomes, return the first run."""
-    trace, kinds, solution = solve_recording(monkeypatch, program, lp._pivot)
-    dense_trace, _, dense_solution = solve_recording(monkeypatch, program, pivot_dense)
+    trace, kinds, solution = solve_recording(monkeypatch, program)
+    dense_trace, _, dense_solution = solve_recording(monkeypatch, program, dense=True)
     row_major_trace = []
     row_major_solution = solve_row_major(program, row_major_trace)
     assert trace == dense_trace == row_major_trace
@@ -168,8 +190,8 @@ def test_single_cost_programs_take_the_row_major_pivots(monkeypatch):
         statuses[solution.status] += 1
         kinds += program_kinds
     assert min(statuses.values()) >= 100, statuses
-    # both updates of the column-major phase 2 occur, and both of phase 1's
-    assert min(kinds.values()) >= 200 and len(kinds) == 4, kinds
+    # both updates of the condensed phase 2 occur, and both of phase 1's
+    assert min(kinds.values()) >= 100 and len(kinds) == 4, kinds
 
 
 @pytest.mark.parametrize("gs_relay", [True, False])
@@ -191,7 +213,7 @@ def test_flow_programs_take_the_dense_pivots(monkeypatch, objective, gs_relay):
         kinds += program_kinds
     gathered = kinds["rows"] + kinds["columns"]
     assert pivots > 200 and gathered > pivots / 2, (kinds, pivots)
-    if objective == "mmd":  # phase 2 (cost -t) runs on a column-major tableau
+    if objective == "mmd":  # phase 2 (cost -t) runs on the condensed tableau
         assert kinds["columns"] > 50, kinds
     else:  # every mr phase is row-major
         assert kinds["columns"] + kinds["all columns"] == 0, kinds
@@ -223,21 +245,51 @@ def test_columns_with_a_zero_pivot_row_entry_are_left_alone():
     rng = np.random.default_rng(7301)
     sparse = 0
     for _ in range(200):
-        t = rng.standard_normal((7, 10))
-        t[rng.random((7, 10)) < 0.5] = 0.0
-        row, col = int(rng.integers(7)), int(rng.integers(9))
-        t[row, col] = rng.choice((-2.5, 0.75, 3.0))
-        t = np.asfortranarray(t)
-        untouched = np.flatnonzero(t[row] == 0.0)
-        sparse += 2 * (10 - untouched.size) <= 10
-        before = t.copy()
-        basis, dense_basis = list(range(7)), list(range(7))
-        dense = t.copy()
-        lp._pivot(t, basis, row, col)
-        pivot_dense(dense, dense_basis, row, col)
-        assert t.flags.f_contiguous and not t.flags.c_contiguous
+        # a 7-row tableau over 17 variables, 7 of them basic, and the rhs
+        t = rng.standard_normal((7, 18))
+        t[rng.random((7, 18)) < 0.5] = 0.0
+        basis = rng.permutation(17)[:7]
+        t[:, basis] = np.eye(7)
+        var = np.setdiff1d(np.arange(17), basis)
+        lines = t.T[np.r_[var, -1]].copy()
+        row, slot = int(rng.integers(7)), int(rng.integers(var.size))
+        t[row, var[slot]] = lines[slot, row] = rng.choice((-2.5, 0.75, 3.0))
+        untouched = np.flatnonzero(lines[:, row] == 0.0)
+        sparse += 2 * (lines.shape[0] - untouched.size) <= lines.shape[0]
+        before = lines.copy()
+        dense_basis = basis.copy()
+        lp._pivot_condensed(lines, var, basis, row, slot)
+        pivot_dense(t, dense_basis, row, int(basis[row]))
         # value for value: -0.0 == 0.0, so only the sign of a zero may differ
-        assert np.array_equal(t[:, untouched], before[:, untouched])
-        assert np.array_equal(t, dense)
-        assert basis == dense_basis and basis[row] == col
+        assert np.array_equal(lines[untouched], before[untouched])
+        assert np.array_equal(lines, t.T[np.r_[var, -1]])
+        assert np.array_equal(t[:, basis], np.eye(7))
+        assert np.array_equal(basis, dense_basis)
+        assert sorted(np.r_[var, basis].tolist()) == list(range(17))
     assert 50 <= sparse <= 150, sparse  # both kinds of update occur
+
+
+def test_a_benchmark_size_max_min_program_takes_the_dense_pivots(monkeypatch):
+    """6 GS / 3 LEO / 2 GEO, every pair: the LP of one benchmark plan.
+
+    As in the benchmark's constellations, the GEO links hold a few bits
+    and the LEO links thousands.
+    """
+    rng = random.Random(7500)
+    stations = [f"g{i}" for i in range(6)]
+    node_spec = dict.fromkeys(stations, "gs")
+    node_spec.update({"l0": "leo", "l1": "leo", "l2": "leo", "e0": "geo", "e1": "geo"})
+    links = []
+    for i, gs in enumerate(rng.sample(stations, 6)):
+        links += [(gs, f"l{i % 3}"), (gs, f"l{(i + 1) % 3}"), (gs, f"e{i % 2}")]
+    links += [("l0", "l1"), ("l1", "l2"), ("l2", "l0")]
+    pools = [rng.randint(0, 16) if b[0] == "e" else rng.randint(2_500, 5_500) for _, b in links]
+    graph = build_graph(node_spec, [(a, b, pool) for (a, b), pool in zip(links, pools)])
+    pairs = [(a, b) for i, a in enumerate(stations) for b in stations[i + 1:]]
+    program, _ = build_lp(graph, [Commodity(a, b) for a, b in pairs], "mmd", gs_relay=True)
+    assert program.num_variables == 646 and program.b_ub.size + program.b_eq.size == 201
+    trace, kinds, solution = assert_same_as_dense(monkeypatch, program)
+    assert solution.status is lp.LpStatus.OPTIMAL
+    # 150 eviction pivots, then phase 2 updates both ways
+    assert kinds["rows"] + kinds["all rows"] == 150 and pivot_count(trace) > 500, kinds
+    assert min(kinds["columns"], kinds["all columns"]) > 200, kinds

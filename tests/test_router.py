@@ -549,6 +549,35 @@ class TestVerifySolution:
         report = verify_solution(relay_graph, through_c.commodities, through_c, gs_relay=False)
         assert report.violations == ("commodity 0 (a->b) transits ground station c",)
 
+    def test_mr_delivery_below_request_detected(self):
+        # the LP sends half a bit each way round the ring for both requests;
+        # no integral plan meets both
+        ring = ["g1", "s1", "g2", "s2", "g3", "s3", "g4", "s4"]
+        graph = build_graph(
+            {n: "gs" if n[0] == "g" else "leo" for n in ring},
+            [(a, b, 1) for a, b in zip(ring, ring[1:] + ring[:1])],
+        )
+        short = route_mr(graph, [("g1", "g3", 1), ("g2", "g4", 1)], gs_relay=True)
+        assert short.demands == (1.0, 0.0)
+        report = verify_solution(graph, short.commodities, short, gs_relay=True)
+        assert report.violations == ("commodity 1 (g2->g4) delivers 0 < requested 1",)
+
+    def test_mr_delivery_below_an_inexact_request_detected(self):
+        # 2**60 + 1 has no float: the LP plans 2**60, one bit short
+        graph = line_pools(2**61, 2**61)
+        short = route_mr(graph, [("g1", "g2", 2**60 + 1)], gs_relay=True)
+        assert short.demands == (2.0**60,)
+        report = verify_solution(graph, short.commodities, short, gs_relay=True)
+        assert report.violations == (
+            "commodity 0 (g1->g2) delivers 1152921504606846976 < requested 1152921504606846977",
+        )
+
+    def test_dijkstra_may_deliver_below_request(self):
+        # the baseline serves what the pools allow; a shortfall is its outcome
+        solution = route_sequential_dijkstra(line_pools(10, 6), [("g1", "g2", 9)], gs_relay=True)
+        assert solution.demands == (6.0,)
+        assert verify_solution(line_pools(10, 6), solution.commodities, solution, gs_relay=True).ok
+
     def test_delivery_above_request_detected(self):
         graph = line_pools(10, 6)
         commodities = (Commodity("g1", "g2", demand_bits=3),)
