@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from . import linkbudget
 
@@ -29,6 +29,7 @@ __all__ = [
     "Node",
     "Link",
     "QkdGraph",
+    "GraphError",
     "Request",
     "Scenario",
     "ScenarioError",
@@ -89,6 +90,14 @@ class Link:
         return (self.a, self.b)
 
 
+class GraphError(ValueError):
+    """A QkdGraph fault; ``entry`` is the Node or Link that caused it."""
+
+    def __init__(self, message: str, entry: Union[Node, Link]):
+        super().__init__(message)
+        self.entry = entry
+
+
 @dataclass(frozen=True)
 class QkdGraph:
     """Snapshot of the network: nodes and links."""
@@ -103,7 +112,7 @@ class QkdGraph:
         by_id = {}
         for node in self.nodes:
             if node.id in by_id:
-                raise ValueError(f"duplicate node id {node.id!r}")
+                raise GraphError(f"duplicate node id {node.id!r}", node)
             by_id[node.id] = node
         seen = set()
         # Links come sorted by endpoints, so every neighbour list is built sorted.
@@ -111,18 +120,18 @@ class QkdGraph:
         for link in links:
             for end in link.endpoints:
                 if end not in by_id:
-                    raise ValueError(f"link {link.endpoints} references unknown node {end!r}")
+                    raise GraphError(f"link {link.endpoints} references unknown node {end!r}", link)
             neighbours[link.a].append(link.b)
             neighbours[link.b].append(link.a)
             if link.endpoints in seen:
-                raise ValueError(f"duplicate link between {link.a!r} and {link.b!r}")
+                raise GraphError(f"duplicate link between {link.a!r} and {link.b!r}", link)
             seen.add(link.endpoints)
             if (
                 by_id[link.a].kind == NodeKind.GROUND_STATION
                 and by_id[link.b].kind == NodeKind.GROUND_STATION
             ):
-                raise ValueError(
-                    f"ground stations {link.a!r} and {link.b!r} cannot share a direct link"
+                raise GraphError(
+                    f"ground stations {link.a!r} and {link.b!r} cannot share a direct link", link
                 )
         object.__setattr__(self, "_nodes_by_id", by_id)
         object.__setattr__(self, "_neighbours", neighbours)
@@ -268,35 +277,6 @@ def _parse_link(entry: dict, where: str) -> Link:
     return Link(a=a, b=b, rate_bps=rate)
 
 
-def _graph_fault(nodes: list[Node], entries: list[dict]) -> Optional[str]:
-    """The first repeated node id, link to an undeclared node, direct
-    ground-station link or duplicate link, named by its field; None if none.
-
-    Runs only after ``QkdGraph`` rejected the graph, so a valid scenario
-    pays nothing for it.
-    """
-    first_node: dict[str, int] = {}
-    for i, node in enumerate(nodes):
-        if node.id in first_node:
-            return (f"nodes[{i}].id: duplicate node id {node.id!r}, "
-                    f"first declared at nodes[{first_node[node.id]}]")
-        first_node[node.id] = i
-    first_link: dict[tuple[str, str], int] = {}
-    for i, entry in enumerate(entries):
-        a, b = entry["a"], entry["b"]
-        for field, end in (("a", a), ("b", b)):
-            if end not in first_node:
-                return f"links[{i}].{field}: unknown node {end!r}"
-        if nodes[first_node[a]].kind == nodes[first_node[b]].kind == NodeKind.GROUND_STATION:
-            return f"links[{i}]: ground stations {a!r} and {b!r} cannot share a direct link"
-        pair = canonical_pair(a, b)
-        if pair in first_link:
-            return (f"links[{i}]: duplicate link between {a!r} and {b!r}, "
-                    f"first given at links[{first_link[pair]}]")
-        first_link[pair] = i
-    return None
-
-
 def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     """Load and validate a scenario from a JSON file or an equivalent dict.
 
@@ -383,8 +363,10 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
 
     try:
         graph = QkdGraph(nodes=tuple(nodes), links=tuple(links))
-    except ValueError as exc:
-        raise ScenarioError(_graph_fault(nodes, raw["links"]) or f"scenario graph: {exc}") from exc
+    except GraphError as exc:
+        field, entries = ("nodes", nodes) if isinstance(exc.entry, Node) else ("links", links)
+        i = next(i for i, entry in enumerate(entries) if entry is exc.entry)
+        raise ScenarioError(f"{field}[{i}]: {exc}") from exc
 
     node_kinds = {n.id: n.kind for n in nodes}
     for i, req in enumerate(requests):

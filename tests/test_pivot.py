@@ -185,13 +185,13 @@ def test_single_cost_programs_take_the_row_major_pivots(monkeypatch):
     rng = random.Random(7400)
     statuses = {status: 0 for status in lp.LpStatus}
     kinds = collections.Counter()
-    for _ in range(2000):
+    for _ in range(4000):
         _, program_kinds, solution = assert_same_as_dense(monkeypatch, single_cost_program(rng))
         statuses[solution.status] += 1
         kinds += program_kinds
-    assert min(statuses.values()) >= 100, statuses
+    assert min(statuses.values()) >= 200, statuses
     # both updates of the condensed phase 2 occur, and both of phase 1's
-    assert min(kinds.values()) >= 100 and len(kinds) == 4, kinds
+    assert min(kinds.values()) >= 200 and len(kinds) == 4, kinds
 
 
 @pytest.mark.parametrize("gs_relay", [True, False])
