@@ -30,6 +30,9 @@ whose pivot-row entry is nonzero; all of them when those are more than
 half.  A skipped line would have had exact zeros subtracted.  The rank-1
 product comes from np.einsum, one rounded multiplication per entry as in
 np.outer; on a 450 x 200 update it takes about 55% of np.outer's time.
+The row-major pivot writes no unit column: the update itself leaves one,
+since the pivot entry becomes p / p = 1 and every other entry of its
+column x - x * 1 = +0 (or stays a zero it already was).
 
 So the layouts and the shortcuts change no pivot and no value: at most
 the sign of a zero, and the returned x holds no -0.0.  Everything is
@@ -191,18 +194,18 @@ def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     nonzero column entry are updated, or all of them when those are more
     than half, since gathering and scattering cost about twice a full
     update per row.  Either way the tableau, the pivot sequence and the
-    solution are those of the full update.
+    solution are those of the full update.  Column col comes out as e_row
+    without being written: the pivot row's entry is p / p = 1, and every
+    other row's is x - x * 1 = +0, or the zero it was when skipped.
     """
     t[row] /= t[row, col]
     column = t[:, col].copy()
     column[row] = 0.0
-    hit = np.flatnonzero(column)
+    hit = column.nonzero()[0]
     if 2 * hit.size > t.shape[0]:
         t -= np.einsum("i,j->ij", column, t[row])
     else:
         t[hit] -= np.einsum("i,j->ij", column[hit], t[row])
-    t[:, col] = 0.0
-    t[row, col] = 1.0
     basis[row] = col
 
 
@@ -240,13 +243,16 @@ def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> tupl
     leaves on the one whose basic variable has the smallest index (which
     also keeps Dantzig mode deterministic).
     """
-    rows = np.flatnonzero(column > _PIVOT_TOL)
+    rows = (column > _PIVOT_TOL).nonzero()[0]
     if rows.size == 0:
         return -1, 0.0
+    if rows.size == 1:  # no tie to break
+        leave = int(rows[0])
+        return leave, float(rhs[leave] / column[leave])
     ratios = rhs[rows] / column[rows]
     best = float(ratios.min())
     near = rows[ratios <= best + 1e-12 + 1e-9 * abs(best)]
-    leave = near[0] if near.size == 1 else near[np.argmin(basis[near])]
+    leave = near[0] if near.size == 1 else near[basis[near].argmin()]
     return int(leave), best
 
 
@@ -287,7 +293,7 @@ def _run(t: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> LpStatus:
 
     def enter(blands_rule: bool):
         reduced = cost - cost[basis] @ t[:, :-1]
-        col = int(np.argmax(reduced < -_OPT_TOL) if blands_rule else np.argmin(reduced))
+        col = int((reduced < -_OPT_TOL).argmax() if blands_rule else reduced.argmin())
         return (col, t[:, col]) if reduced[col] < -_OPT_TOL else None
 
     return _simplex(basis, t.shape[1] - 1, t[:, -1], enter, lambda row, col: _pivot(t, basis, row, col))
@@ -314,15 +320,15 @@ def _run_single_cost(lines: np.ndarray, var: np.ndarray, basis: np.ndarray, cost
     def enter(blands_rule: bool):
         reduced = cost[var] if row_k < 0 else lines[:-1, row_k] * weight
         if blands_rule:
-            slot = int(np.argmin(np.where(reduced < -_OPT_TOL, var, cost.size)))
+            slot = int(np.where(reduced < -_OPT_TOL, var, cost.size).argmin())
         else:
-            slot = int(np.argmin(reduced))
+            slot = int(reduced.argmin())
         if not reduced[slot] < -_OPT_TOL:
             return None
         if not blands_rule:
-            ties = np.flatnonzero(reduced == reduced[slot])
+            ties = (reduced == reduced[slot]).nonzero()[0]
             if ties.size > 1:
-                slot = int(ties[np.argmin(var[ties])])
+                slot = int(ties[var[ties].argmin()])
         return slot, lines[slot]
 
     def pivot(row: int, slot: int) -> None:
@@ -345,7 +351,7 @@ def _evict_artificials(t: np.ndarray, basis: np.ndarray, first_artificial: int) 
     keep = []
     for row in range(t.shape[0]):
         if basis[row] >= first_artificial:
-            candidates = np.flatnonzero(np.abs(t[row, :first_artificial]) > _PIVOT_TOL)
+            candidates = (np.abs(t[row, :first_artificial]) > _PIVOT_TOL).nonzero()[0]
             if candidates.size == 0:
                 continue
             _pivot(t, basis, row, int(candidates[0]))

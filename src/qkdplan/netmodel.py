@@ -214,58 +214,55 @@ class Scenario:
     gs_relay: bool
 
 
-def _require(condition: bool, where: str, message: str) -> None:
-    if not condition:
-        raise ScenarioError(f"{where}: {message}")
-
-
 def _is_number(value) -> bool:
     # JSON true/false load as bools, and Infinity and NaN as floats: neither counts.
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     return number and abs(value) <= sys.float_info.max
 
 
-def _check_id(value, where: str) -> str:
-    _require(isinstance(value, str), where, f"expected a string id, got {value!r}")
-    _require(bool(_ID_PATTERN.match(value)), where, f"id {value!r} must match [A-Za-z0-9_-]+")
+# Each check below formats its message only when it fails: a load runs
+# every check on every entry, and a passing one must not pay for sorting
+# choices or repr'ing values.
+def _check_id(value, where: str, field: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where}.{field}: expected a string id, got {value!r}")
+    if not _ID_PATTERN.match(value):
+        raise ScenarioError(f"{where}.{field}: id {value!r} must match [A-Za-z0-9_-]+")
     return value
 
 
 def _parse_link(entry: dict, where: str) -> Link:
-    _require(isinstance(entry, dict), where, "expected an object")
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"{where}: expected an object")
     for field in ("a", "b"):
-        _require(field in entry, where, f"missing field {field!r}")
-    a = _check_id(entry["a"], f"{where}.a")
-    b = _check_id(entry["b"], f"{where}.b")
-    _require(a != b, where, f"endpoints must be distinct, got {a!r} twice")
-    known = {"a", "b", "rate_bps", "preset", "distance_m"}
-    extra = set(entry) - known
-    _require(not extra, where, f"unknown fields {sorted(extra)}")
+        if field not in entry:
+            raise ScenarioError(f"{where}: missing field {field!r}")
+    a = _check_id(entry["a"], where, "a")
+    b = _check_id(entry["b"], where, "b")
+    if a == b:
+        raise ScenarioError(f"{where}: endpoints must be distinct, got {a!r} twice")
+    extra = set(entry) - {"a", "b", "rate_bps", "preset", "distance_m"}
+    if extra:
+        raise ScenarioError(f"{where}: unknown fields {sorted(extra)}")
     if "rate_bps" in entry:
-        _require(
-            "preset" not in entry and "distance_m" not in entry,
-            where,
-            "give either rate_bps or preset+distance_m, not both",
-        )
+        if "preset" in entry or "distance_m" in entry:
+            raise ScenarioError(f"{where}: give either rate_bps or preset+distance_m, not both")
         rate = entry["rate_bps"]
-        _require(
-            _is_number(rate) and rate >= 0, f"{where}.rate_bps",
-            f"expected a finite number >= 0, got {rate!r}",
-        )
+        if not (_is_number(rate) and rate >= 0):
+            raise ScenarioError(f"{where}.rate_bps: expected a finite number >= 0, got {rate!r}")
         return Link(a=a, b=b, rate_bps=float(rate))
-    _require("preset" in entry, where, "link needs rate_bps or preset+distance_m")
+    if "preset" not in entry:
+        raise ScenarioError(f"{where}: link needs rate_bps or preset+distance_m")
     preset = entry["preset"]
-    _require(
-        isinstance(preset, str) and preset in linkbudget.PRESETS,
-        f"{where}.preset",
-        f"unknown preset {preset!r}; known: {sorted(linkbudget.PRESETS)}",
-    )
+    if not (isinstance(preset, str) and preset in linkbudget.PRESETS):
+        raise ScenarioError(
+            f"{where}.preset: unknown preset {preset!r}; known: {sorted(linkbudget.PRESETS)}"
+        )
     distance = entry.get("distance_m")
-    _require(
-        distance is None or (_is_number(distance) and distance > 0),
-        f"{where}.distance_m",
-        f"expected a finite positive number, got {distance!r}",
-    )
+    if not (distance is None or (_is_number(distance) and distance > 0)):
+        raise ScenarioError(
+            f"{where}.distance_m: expected a finite positive number, got {distance!r}"
+        )
     overrides = {} if distance is None else {"distance_m": distance}
     params = linkbudget.preset_link(preset, **overrides)
     try:
@@ -303,63 +300,68 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     else:
         raw = source
-    _require(isinstance(raw, dict), "scenario", "top level must be an object")
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario: top level must be an object")
     extra = set(raw) - {"nodes", "links", "elapsed_seconds", "requests", "options"}
-    _require(not extra, "scenario", f"unknown fields {sorted(extra)}")
-    _require("nodes" in raw and isinstance(raw["nodes"], list), "scenario.nodes", "expected a list")
-    _require("links" in raw and isinstance(raw["links"], list), "scenario.links", "expected a list")
+    if extra:
+        raise ScenarioError(f"scenario: unknown fields {sorted(extra)}")
+    for field in ("nodes", "links"):
+        if not (field in raw and isinstance(raw[field], list)):
+            raise ScenarioError(f"scenario.{field}: expected a list")
 
     kinds = {k.value: k for k in NodeKind}
     nodes = []
     for i, entry in enumerate(raw["nodes"]):
-        where = f"nodes[{i}]"
-        _require(isinstance(entry, dict), where, "expected an object")
-        _require(set(entry) == {"id", "kind"}, where, "expected exactly the fields id, kind")
-        node_id = _check_id(entry["id"], f"{where}.id")
-        _require(
-            isinstance(entry["kind"], str) and entry["kind"] in kinds, f"{where}.kind",
-            f"expected one of {sorted(kinds)}, got {entry['kind']!r}",
-        )
-        nodes.append(Node(id=node_id, kind=kinds[entry["kind"]]))
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"nodes[{i}]: expected an object")
+        if set(entry) != {"id", "kind"}:
+            raise ScenarioError(f"nodes[{i}]: expected exactly the fields id, kind")
+        node_id = _check_id(entry["id"], f"nodes[{i}]", "id")
+        kind = entry["kind"]
+        if not (isinstance(kind, str) and kind in kinds):
+            raise ScenarioError(f"nodes[{i}].kind: expected one of {sorted(kinds)}, got {kind!r}")
+        nodes.append(Node(id=node_id, kind=kinds[kind]))
 
     links = [
         _parse_link(entry, f"links[{i}]") for i, entry in enumerate(raw["links"])
     ]
 
     elapsed = raw.get("elapsed_seconds", 0)
-    _require(
-        _is_number(elapsed) and elapsed >= 0,
-        "scenario.elapsed_seconds",
-        f"expected a finite number >= 0, got {elapsed!r}",
-    )
+    if not (_is_number(elapsed) and elapsed >= 0):
+        raise ScenarioError(
+            f"scenario.elapsed_seconds: expected a finite number >= 0, got {elapsed!r}"
+        )
 
     listed = raw.get("requests", [])
-    _require(isinstance(listed, list), "scenario.requests", "expected a list")
+    if not isinstance(listed, list):
+        raise ScenarioError("scenario.requests: expected a list")
     requests = []
     for i, entry in enumerate(listed):
-        where = f"requests[{i}]"
-        _require(isinstance(entry, dict), where, "expected an object")
-        _require(
-            set(entry) == {"src", "dst", "demand_bits"},
-            where,
-            "expected exactly the fields src, dst, demand_bits",
-        )
-        src = _check_id(entry["src"], f"{where}.src")
-        dst = _check_id(entry["dst"], f"{where}.dst")
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"requests[{i}]: expected an object")
+        if set(entry) != {"src", "dst", "demand_bits"}:
+            raise ScenarioError(
+                f"requests[{i}]: expected exactly the fields src, dst, demand_bits"
+            )
+        src = _check_id(entry["src"], f"requests[{i}]", "src")
+        dst = _check_id(entry["dst"], f"requests[{i}]", "dst")
         demand = entry["demand_bits"]
-        _require(
-            isinstance(demand, int) and _is_number(demand) and 0 <= demand <= _MAX_DEMAND,
-            f"{where}.demand_bits",
-            f"expected an integer from 0 to 2**53 = {_MAX_DEMAND}, got {demand!r}",
-        )
+        if not (isinstance(demand, int) and _is_number(demand) and 0 <= demand <= _MAX_DEMAND):
+            raise ScenarioError(
+                f"requests[{i}].demand_bits: expected an integer from 0 to 2**53 = "
+                f"{_MAX_DEMAND}, got {demand!r}"
+            )
         requests.append(Request(src=src, dst=dst, demand_bits=demand))
 
     options = raw.get("options", {})
-    _require(isinstance(options, dict), "scenario.options", "expected an object")
+    if not isinstance(options, dict):
+        raise ScenarioError("scenario.options: expected an object")
     extra = set(options) - {"gs_relay"}
-    _require(not extra, "scenario.options", f"unknown fields {sorted(extra)}")
+    if extra:
+        raise ScenarioError(f"scenario.options: unknown fields {sorted(extra)}")
     gs_relay = options.get("gs_relay", True)
-    _require(isinstance(gs_relay, bool), "scenario.options.gs_relay", "expected a boolean")
+    if not isinstance(gs_relay, bool):
+        raise ScenarioError("scenario.options.gs_relay: expected a boolean")
 
     try:
         graph = QkdGraph(nodes=tuple(nodes), links=tuple(links))
@@ -370,15 +372,13 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
 
     node_kinds = {n.id: n.kind for n in nodes}
     for i, req in enumerate(requests):
-        where = f"requests[{i}]"
         for role, node_id in (("src", req.src), ("dst", req.dst)):
-            _require(node_id in node_kinds, f"{where}.{role}", f"unknown node {node_id!r}")
-            _require(
-                node_kinds[node_id] == NodeKind.GROUND_STATION,
-                f"{where}.{role}",
-                f"node {node_id!r} is not a ground station",
-            )
-        _require(req.src != req.dst, where, "src and dst must differ")
+            if node_id not in node_kinds:
+                raise ScenarioError(f"requests[{i}].{role}: unknown node {node_id!r}")
+            if node_kinds[node_id] != NodeKind.GROUND_STATION:
+                raise ScenarioError(f"requests[{i}].{role}: node {node_id!r} is not a ground station")
+        if req.src == req.dst:
+            raise ScenarioError(f"requests[{i}]: src and dst must differ")
 
     return Scenario(
         graph=graph,

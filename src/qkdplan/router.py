@@ -233,10 +233,16 @@ def build_lp(
     row_of = [{v: next(rows) for v in _usable_nodes(graph, c.pair, gs_relay)} for c in commodities]
     num_rows = sum(map(len, row_of))
     columns: list[FlowKey] = []
+    link_rows: list[int] = []  # per column: its link's capacity row,
+    out_rows: list[int] = []  # the conservation row it leaves
+    in_rows: list[int] = []  # and the one it enters
     for i, usable in enumerate(row_of):
-        for a, b in link_row:
+        for (a, b), j in link_row.items():
             if a in usable and b in usable:
                 columns += [(i, (a, b)), (i, (b, a))]
+                link_rows += [j, j]
+                out_rows += [usable[a], usable[b]]
+                in_rows += [usable[b], usable[a]]
     offset = 1 + k if objective == "mmd" else 0
     n = offset + len(columns)
 
@@ -249,10 +255,10 @@ def build_lp(
     b_ub = np.zeros(a_ub.shape[0])
     a_eq = np.zeros((num_rows, n))
     b_eq = np.zeros(num_rows)
-    for col, (i, (u, v)) in enumerate(columns, start=offset):
-        a_ub[link_row[canonical_pair(u, v)], col] = 1.0
-        a_eq[row_of[i][u], col] += 1.0  # flow out of u
-        a_eq[row_of[i][v], col] -= 1.0  # flow into v
+    flow_cols = np.arange(offset, n)
+    a_ub[link_rows, flow_cols] = 1.0
+    a_eq[out_rows, flow_cols] = 1.0  # the two rows of a column differ
+    a_eq[in_rows, flow_cols] = -1.0
     b_ub[: len(link_row)] = [link.pool_bits for link in graph.links]
     for i, commodity in enumerate(commodities):
         source_row = row_of[i][commodity.source]

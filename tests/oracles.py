@@ -12,6 +12,8 @@ the full-tableau update, which the row-skipping ``lp._pivot`` must equal,
 ``pivot_condensed_dense`` the same for ``lp._pivot_condensed``, and
 ``solve_row_major`` the simplex with a full row-major tableau and the full
 reduced-cost product in every phase, which ``lp.solve`` must equal.
+``build_lp_loop`` fills the flow LP one column at a time, which
+``router.build_lp``'s index-array fill must equal byte for byte.
 The reference models check the planner's assumptions from first principles:
 drawing bits from one link's pool, trusted-relay forwarding with
 hop-by-hop XOR, and gains/QBERs summed over photon numbers from the
@@ -409,6 +411,68 @@ def vertex_enumeration_optimum(lp: LinearProgram) -> Optional[float]:
             if best is None or value < best:
                 best = value
     return best
+
+
+# --- LP build reference ---------------------------------------------------------
+
+
+def build_lp_loop(
+    graph: QkdGraph, commodities: Sequence[Commodity], objective: str, *, gs_relay: bool
+) -> tuple[LinearProgram, tuple[FlowKey, ...]]:
+    """``router.build_lp`` filling its flow columns one scalar store at a time.
+
+    The same columns, rows and order, built from the documented layout with
+    no index arrays; ``build_lp`` must give the same bytes.
+    """
+    k = len(commodities)
+    if k == 0:
+        return LinearProgram(objective=np.zeros(0)), ()
+    link_row = {link.endpoints: j for j, link in enumerate(graph.links)}
+    rows = itertools.count()
+    row_of = [
+        {
+            node.id: next(rows)
+            for node in graph.nodes
+            if gs_relay or node.id in c.pair or node.kind != NodeKind.GROUND_STATION
+        }
+        for c in commodities
+    ]
+    num_rows = sum(map(len, row_of))
+    columns: list[FlowKey] = []
+    for i, usable in enumerate(row_of):
+        for a, b in link_row:
+            if a in usable and b in usable:
+                columns += [(i, (a, b)), (i, (b, a))]
+    offset = 1 + k if objective == "mmd" else 0
+    n = offset + len(columns)
+
+    if objective == "mr":
+        cost = np.ones(n)
+    else:
+        cost = np.zeros(n)
+        cost[0] = -1.0
+    a_ub = np.zeros((len(link_row) + (k if objective == "mmd" else 0), n))
+    b_ub = np.zeros(a_ub.shape[0])
+    a_eq = np.zeros((num_rows, n))
+    b_eq = np.zeros(num_rows)
+    for col, (i, (u, v)) in enumerate(columns, start=offset):
+        a_ub[link_row[canonical_pair(u, v)], col] = 1.0
+        a_eq[row_of[i][u], col] += 1.0  # flow out of u
+        a_eq[row_of[i][v], col] -= 1.0  # flow into v
+    b_ub[: len(link_row)] = [link.pool_bits for link in graph.links]
+    for i, commodity in enumerate(commodities):
+        source_row = row_of[i][commodity.source]
+        sink_row = row_of[i][commodity.sink]
+        if objective == "mmd":
+            a_ub[len(link_row) + i, 0] = 1.0
+            a_ub[len(link_row) + i, 1 + i] = -1.0
+            a_eq[source_row, 1 + i] = -1.0
+            a_eq[sink_row, 1 + i] = 1.0
+        else:
+            b_eq[source_row] = float(commodity.demand_bits)
+            b_eq[sink_row] = -float(commodity.demand_bits)
+    lp = LinearProgram(objective=cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    return lp, tuple(columns)
 
 
 # --- simplex references ---------------------------------------------------------

@@ -13,7 +13,8 @@ by ``lp.solve`` with the dense pivots in place of its own, and by
 ``solve_row_major``, recording every pivot as ``(row, entering variable)``
 and where artificial eviction starts and ends.  The three must take the
 same pivots and return the same status, the same ``x`` bytes and the same
-objective.
+objective.  After every row-major pivot the entering column must equal
+the unit vector of its row, which ``lp._pivot`` does not write itself.
 """
 import collections
 import random
@@ -64,6 +65,10 @@ def solve_recording(monkeypatch, program, dense=False):
         trace.append((row, col))
         kinds[update_kind(t, row, col)] += 1
         pivot(t, basis, row, col)
+        # the update itself leaves the entering column at e_row (-0.0 == 0.0)
+        unit = np.zeros(t.shape[0])
+        unit[row] = 1.0
+        assert np.array_equal(t[:, col], unit), (row, col)
 
     def recording_pivot_condensed(lines, var, basis, row, slot):
         trace.append((row, int(var[slot])))

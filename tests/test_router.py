@@ -24,6 +24,7 @@ from qkdplan.router import (
 
 from oracles import (
     build_graph,
+    build_lp_loop,
     greedy_round_one_key,
     min_cut_single,
     mmd_cut_bound,
@@ -183,6 +184,29 @@ class TestBuildLp:
             build_lp(line_pools(), commodities, "mr", False)
         with pytest.raises(TypeError):
             solve_fractional(line_pools(), commodities, "mr", False)
+
+    def test_fill_equals_the_per_column_loop(self):
+        """The index-array fill gives the bytes of one scalar store at a time,
+        on the LP oracle gate's 200 random instances (its seed and draws)."""
+        rng = random.Random(424242)
+        demands = random.Random(424243)
+        for _ in range(200):
+            graph, pairs = random_instance(rng, max_paths=6)
+            rng.random()  # the gate's over-demand draw
+            requests = [(a, b, demands.randint(0, 40)) for a, b in pairs]
+            for gs_relay in (True, False):
+                for objective in ("mmd", "mr"):
+                    commodities = [
+                        Commodity(a, b, None if objective == "mmd" else d) for a, b, d in requests
+                    ]
+                    program, columns = build_lp(graph, commodities, objective, gs_relay=gs_relay)
+                    reference, reference_columns = build_lp_loop(
+                        graph, commodities, objective, gs_relay=gs_relay
+                    )
+                    assert columns == reference_columns
+                    for name in ("objective", "a_ub", "b_ub", "a_eq", "b_eq"):
+                        got, want = getattr(program, name), getattr(reference, name)
+                        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 class TestMinHopPath:
