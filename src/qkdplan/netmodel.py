@@ -39,9 +39,10 @@ __all__ = [
 ]
 
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9_\-]+$")
-# Every whole number up to 2**53 is exactly a float.  The LP carries
-# demands as floats, so a larger request could be planned short.
-_MAX_DEMAND = 2**53
+# Every whole number up to 2**53 is exactly a float.  The planners carry
+# pools, flows and demands as floats, so a larger request could be planned
+# short, and pools totalling more could give a plan that is off by a bit.
+_MAX_EXACT = 2**53
 
 
 class ScenarioError(ValueError):
@@ -183,7 +184,11 @@ class QkdGraph:
 
 
 def accumulate_pools(graph: QkdGraph, duration_s: float) -> QkdGraph:
-    """Grow every pool by floor(rate * duration); returns a new snapshot."""
+    """Grow every pool by floor(rate * duration); returns a new snapshot.
+
+    Raises ValueError when a pool is not finite or the pools total more
+    than 2**53 bits, beyond which plans are not exact.
+    """
     if duration_s < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration_s}")
     new_links = []
@@ -192,6 +197,12 @@ def accumulate_pools(graph: QkdGraph, duration_s: float) -> QkdGraph:
         if not math.isfinite(grown):
             raise ValueError(f"link {link.a}-{link.b}: a pool of {grown} bits is not finite")
         new_links.append(replace(link, pool_bits=link.pool_bits + math.floor(grown)))
+    total = sum(link.pool_bits for link in new_links)
+    if total > _MAX_EXACT:
+        raise ValueError(
+            f"the key pools total {total} bits, more than 2**53 = {_MAX_EXACT}, "
+            "beyond which plans are not exact"
+        )
     # Same nodes and endpoints, checked and warned about when graph was built.
     snapshot = copy.copy(graph)
     object.__setattr__(snapshot, "links", tuple(new_links))
@@ -346,10 +357,10 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         src = _check_id(entry["src"], f"requests[{i}]", "src")
         dst = _check_id(entry["dst"], f"requests[{i}]", "dst")
         demand = entry["demand_bits"]
-        if not (isinstance(demand, int) and _is_number(demand) and 0 <= demand <= _MAX_DEMAND):
+        if not (isinstance(demand, int) and _is_number(demand) and 0 <= demand <= _MAX_EXACT):
             raise ScenarioError(
                 f"requests[{i}].demand_bits: expected an integer from 0 to 2**53 = "
-                f"{_MAX_DEMAND}, got {demand!r}"
+                f"{_MAX_EXACT}, got {demand!r}"
             )
         requests.append(Request(src=src, dst=dst, demand_bits=demand))
 

@@ -64,7 +64,7 @@ __all__ = [
 
 _FLOW_EPS = 1e-9
 _FLOOR_EPS = 1e-6
-_VERIFY_TOL = 1e-6  # relative slack of the verifier's capacity and conservation checks
+_VERIFY_TOL = 1e-6  # relative slack of the verifier's checks on a fractional solution
 
 DirectedEdge = tuple[str, str]
 FlowKey = tuple[int, DirectedEdge]
@@ -593,9 +593,12 @@ def verify_solution(
     ``dijkstra`` baseline may fall short by design).  Flows of a commodity
     index outside ``commodities`` are reported once per index.  The plan
     must give one finite, nonnegative demand per commodity, and every flow
-    must be finite.
+    must be finite.  An integral plan, as the CLI reports, is checked with
+    no slack, since float sums of whole numbers up to 2**53 are exact; a
+    fractional one within a relative _VERIFY_TOL.
     """
     commodities, demands = tuple(commodities), solution.demands
+    tol = 0.0 if solution.integral else _VERIFY_TOL
     violations: list[str] = []
     if len(demands) != len(commodities):
         violations.append(f"demand count {len(demands)} != commodity count {len(commodities)}")
@@ -622,11 +625,11 @@ def verify_solution(
         if pair not in used:
             violations.append(f"flow on nonexistent link {a}-{b} (commodity {i})")
             continue
-        if value < -_VERIFY_TOL:
+        if value < -tol:
             violations.append(f"negative flow {value} on {a}->{b} (commodity {i})")
         used[pair] += value
         commodity = commodities[i]
-        if not gs_relay and value > _VERIFY_TOL:
+        if not gs_relay and value > tol:
             for end in (a, b):
                 if end in commodity.pair or (i, end) in transits:
                     continue
@@ -639,7 +642,7 @@ def verify_solution(
 
     for link in graph.links:
         total = used[link.endpoints]
-        if total > link.pool_bits + _VERIFY_TOL * max(1.0, link.pool_bits):
+        if total > link.pool_bits + tol * max(1.0, link.pool_bits):
             violations.append(
                 f"capacity exceeded on link {link.a}-{link.b}: "
                 f"{total} used > {link.pool_bits} pooled"
@@ -655,14 +658,14 @@ def verify_solution(
                 expected = demand
             elif node.id == commodity.sink:
                 expected = -demand
-            if abs(net[i][node.id] - expected) > _VERIFY_TOL * max(1.0, abs(demand)):
+            if abs(net[i][node.id] - expected) > tol * max(1.0, abs(demand)):
                 violations.append(
                     f"conservation violated at node {node.id} for commodity {i} "
                     f"({commodity.source}->{commodity.sink}): net {net[i][node.id]}, "
                     f"expected {expected}"
                 )
         requested = commodity.demand_bits
-        if requested is not None and demand > requested + _VERIFY_TOL * max(1.0, requested):
+        if requested is not None and demand > requested + tol * max(1.0, requested):
             violations.append(
                 f"commodity {i} ({commodity.source}->{commodity.sink}) delivers "
                 f"{demand:g} > requested {requested}"

@@ -7,11 +7,13 @@ exceptions are the key-by-key reference for greedy rounding's stage 2
 and the search-and-push reference for the sequential baseline: they
 share the router's min-hop search (itself checked against
 ``simple_paths``), and the first also its stage 1, so that only the
-filling loop is under test.  ``pivot_dense`` is the simplex pivot with
-the full-tableau update, which the row-skipping ``lp._pivot`` must equal,
-``pivot_condensed_dense`` the same for ``lp._pivot_condensed``, and
-``solve_row_major`` the simplex with a full row-major tableau and the full
-reduced-cost product in every phase, which ``lp.solve`` must equal.
+filling loop is under test.  ``pivot_condensed_dense`` is the simplex
+pivot with every line updated, which the line-skipping ``lp._pivot`` must
+equal, and ``solve_condensed_dense`` the two-phase simplex on those lines
+with its own rule code and the full reduced-cost product in every phase,
+which ``lp.solve`` must equal pivot for pivot.  ``solve_row_major`` keeps
+the full row-major tableau, pivoted by ``pivot_dense``, as a second
+reference.
 ``build_lp_loop`` fills the flow LP one column at a time, which
 ``router.build_lp``'s index-array fill must equal byte for byte.
 The reference models check the planner's assumptions from first principles:
@@ -479,7 +481,7 @@ def build_lp_loop(
 
 
 def pivot_dense(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    """``lp._pivot`` with the full-tableau update: every row, zero entry or not."""
+    """The simplex pivot on a full row-major tableau: every row, zero entry or not."""
     t[row] /= t[row, col]
     column = t[:, col].copy()
     column[row] = 0.0
@@ -490,7 +492,7 @@ def pivot_dense(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
 
 
 def pivot_condensed_dense(lines, var, basis, row: int, slot: int) -> None:
-    """``lp._pivot_condensed`` with the full update: every line, zero pivot-row entry or not."""
+    """``lp._pivot`` with the full update: every line, zero pivot-row entry or not."""
     column = lines[slot].copy()
     lines[slot] = 0.0
     lines[slot, row] = 1.0
@@ -503,21 +505,14 @@ def pivot_condensed_dense(lines, var, basis, row: int, slot: int) -> None:
 EVICT, PHASE2 = "evict", "phase 2"
 
 
-def solve_row_major(lp: LinearProgram, trace: Optional[list] = None) -> LpSolution:
-    """``lp.solve`` as it was before single-cost phases had their own path.
+def _phase1_tableau(lp: LinearProgram):
+    """The full row-major phase-1 tableau [A | slacks | artificials | b] and its basis.
 
-    Every phase keeps a full row-major tableau, computes its reduced costs with
-    the full product ``cost[basis] @ T`` on every iteration and pivots with
-    ``pivot_dense``.  ``trace``, when given, receives every ``(row, col)``
-    pivoted, with ``EVICT`` and ``PHASE2`` marking the start and the end of
-    artificial eviction.
+    A <= row with a nonnegative rhs starts on its slack; every other row is
+    negated where its rhs is negative and starts on an artificial, in row
+    order.  Returns the tableau, the basis, the first artificial column,
+    the rows that got an artificial, and the right-hand sides.
     """
-    record = [] if trace is None else trace
-
-    def pivot(t, basis, row, col):
-        record.append((row, col))
-        pivot_dense(t, basis, row, col)
-
     n = lp.num_variables
     m_ub = lp.b_ub.size
     b = np.concatenate([lp.b_ub, lp.b_eq])
@@ -534,15 +529,50 @@ def solve_row_major(lp: LinearProgram, trace: Optional[list] = None) -> LpSoluti
     t[artificial_rows, artificial_cols] = 1.0
     basis = np.arange(n, n + b.size)
     basis[artificial_rows] = artificial_cols
-    basis = basis.tolist()
+    return t, basis, first_artificial, artificial_rows, b
 
+
+def _phase1_infeasible(levels, basis, first_artificial, artificial_rows, b) -> bool:
+    """Whether an artificial left basic after phase 1 exceeds its own row's tolerance."""
+    for level, variable in zip(levels, basis):
+        if variable >= first_artificial:
+            scale = max(1.0, abs(float(b[artificial_rows[variable - first_artificial]])))
+            if level > lp_module._FEAS_TOL * scale:
+                return True
+    return False
+
+
+def _optimal(lp: LinearProgram, values: np.ndarray) -> LpSolution:
+    """The optimal solution whose variable values are ``values``, checked as ``lp.solve`` checks it."""
+    x = values[: lp.num_variables] + 0.0
+    if not lp_module._feasible(lp, x):
+        raise ArithmeticError("simplex returned an infeasible point")
+    return LpSolution(status=LpStatus.OPTIMAL, x=x, objective_value=float(lp.objective @ x))
+
+
+def solve_row_major(lp: LinearProgram, trace: Optional[list] = None) -> LpSolution:
+    """The two-phase simplex on a full row-major tableau.
+
+    Every phase keeps the whole tableau, artificial columns included,
+    computes its reduced costs with the full product ``cost[basis] @ T`` on
+    every iteration and pivots with ``pivot_dense``.  ``trace``, when given,
+    receives every ``(row, col)`` pivoted, with ``EVICT`` and ``PHASE2``
+    marking the start and the end of artificial eviction.
+    """
+    record = [] if trace is None else trace
+
+    def pivot(t, basis, row, col):
+        record.append((row, col))
+        pivot_dense(t, basis, row, col)
+
+    t, basis, first_artificial, artificial_rows, b = _phase1_tableau(lp)
+    basis = basis.tolist()
     if artificial_rows.size:
         phase1_cost = np.zeros(t.shape[1] - 1)
         phase1_cost[first_artificial:] = 1.0
         if _run_row_major(t, basis, phase1_cost, pivot) is not LpStatus.OPTIMAL:
             raise RuntimeError("phase 1 terminated abnormally")
-        scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-        if float(phase1_cost[basis] @ t[:, -1]) > lp_module._FEAS_TOL * scale:
+        if _phase1_infeasible(t[:, -1], basis, first_artificial, artificial_rows, b):
             return LpSolution(status=LpStatus.INFEASIBLE)
         record.append(EVICT)
         keep = []
@@ -559,15 +589,12 @@ def solve_row_major(lp: LinearProgram, trace: Optional[list] = None) -> LpSoluti
         record.append(PHASE2)
 
     phase2_cost = np.zeros(t.shape[1] - 1)
-    phase2_cost[:n] = lp.objective
+    phase2_cost[: lp.num_variables] = lp.objective
     if _run_row_major(t, basis, phase2_cost, pivot) is LpStatus.UNBOUNDED:
         return LpSolution(status=LpStatus.UNBOUNDED)
     values = np.zeros(t.shape[1] - 1)
     values[basis] = t[:, -1]
-    x = values[:n] + 0.0
-    if not lp_module._feasible(lp, x):
-        raise ArithmeticError("simplex returned an infeasible point")
-    return LpSolution(status=LpStatus.OPTIMAL, x=x, objective_value=float(lp.objective @ x))
+    return _optimal(lp, values)
 
 
 def _run_row_major(t, basis, cost, pivot) -> LpStatus:
@@ -597,6 +624,97 @@ def _run_row_major(t, basis, cost, pivot) -> LpStatus:
         else:
             degenerate_run = 0
         pivot(t, basis, leave, col)
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
+def solve_condensed_dense(lp: LinearProgram, trace: Optional[list] = None) -> LpSolution:
+    """The two-phase simplex on condensed lines, every line updated at every pivot.
+
+    The lines are the nonbasic columns of ``_phase1_tableau``'s tableau,
+    one C-contiguous line each in variable order, and its rhs last.  Each
+    iteration prices with the full product ``cost[var] - lines @ cost[basis]``
+    and pivots with ``pivot_condensed_dense``.  An artificial that leaves
+    the basis keeps its line; after eviction the artificials' lines and
+    the redundant rows are dropped and the rest sorted by variable.
+    ``trace``, when given, receives every ``(row, entering variable)``
+    pivoted, with ``EVICT`` and ``PHASE2`` marking the start and the end of
+    artificial eviction.
+    """
+    record = [] if trace is None else trace
+
+    def pivot(lines, var, basis, row, slot):
+        record.append((row, int(var[slot])))
+        pivot_condensed_dense(lines, var, basis, row, slot)
+
+    t, basis, first_artificial, artificial_rows, b = _phase1_tableau(lp)
+    var = np.setdiff1d(np.arange(t.shape[1] - 1), basis)
+    lines = t.T[np.r_[var, -1]].copy()
+    if artificial_rows.size:
+        phase1_cost = np.zeros(t.shape[1] - 1)
+        phase1_cost[first_artificial:] = 1.0
+        if _run_condensed(lines, var, basis, phase1_cost, pivot) is not LpStatus.OPTIMAL:
+            raise RuntimeError("phase 1 terminated abnormally")
+        if _phase1_infeasible(lines[-1], basis, first_artificial, artificial_rows, b):
+            return LpSolution(status=LpStatus.INFEASIBLE)
+        record.append(EVICT)
+        keep = []
+        for row in range(basis.size):
+            if basis[row] >= first_artificial:
+                candidates = [
+                    s for s in range(var.size)
+                    if var[s] < first_artificial
+                    and abs(lines[s, row]) > lp_module._PIVOT_TOL
+                ]
+                if not candidates:
+                    continue
+                pivot(lines, var, basis, row, min(candidates, key=lambda s: var[s]))
+            keep.append(row)
+        kept = sorted((s for s in range(var.size) if var[s] < first_artificial),
+                      key=lambda s: var[s])
+        lines = lines[kept + [-1]][:, keep]
+        var, basis = var[kept], basis[keep]
+        record.append(PHASE2)
+
+    phase2_cost = np.zeros(first_artificial)
+    phase2_cost[: lp.num_variables] = lp.objective
+    if _run_condensed(lines, var, basis, phase2_cost, pivot) is LpStatus.UNBOUNDED:
+        return LpSolution(status=LpStatus.UNBOUNDED)
+    values = np.zeros(first_artificial)
+    values[basis] = lines[-1]
+    return _optimal(lp, values)
+
+
+def _run_condensed(lines, var, basis, cost, pivot) -> LpStatus:
+    """The pivoting loop of ``solve_condensed_dense``: Dantzig, then Bland.
+
+    Both rules pick among the variables, not the line positions: Dantzig's
+    the smallest variable among the least reduced costs, Bland's the
+    smallest variable with a negative one.
+    """
+    blands_rule = False
+    degenerate_run = 0
+    for _ in range(200 * (2 * basis.size + var.size) + 10_000):
+        reduced = cost[var] - lines[:-1] @ cost[basis]
+        candidates = np.where(reduced < -lp_module._OPT_TOL)[0]
+        if candidates.size == 0:
+            return LpStatus.OPTIMAL
+        if not blands_rule:
+            candidates = candidates[reduced[candidates] == reduced[candidates].min()]
+        slot = int(candidates[np.argmin(var[candidates])])
+        column = lines[slot]
+        rows = np.where(column > lp_module._PIVOT_TOL)[0]
+        if rows.size == 0:
+            return LpStatus.UNBOUNDED
+        ratios = lines[-1, rows] / column[rows]
+        best = ratios.min()
+        near = rows[ratios <= best + 1e-12 + 1e-9 * abs(best)]
+        leave = int(min(near, key=lambda r: basis[r]))
+        if best <= lp_module._PIVOT_TOL:
+            degenerate_run += 1
+            blands_rule = blands_rule or degenerate_run >= lp_module._DEGENERATE_SWITCH
+        else:
+            degenerate_run = 0
+        pivot(lines, var, basis, leave, slot)
     raise RuntimeError("simplex iteration limit exceeded")
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qkdplan import router
+from qkdplan import netmodel, router
 from qkdplan.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
@@ -22,7 +22,7 @@ from qkdplan.cli import (
 )
 from qkdplan.lp import LpStatus
 
-from oracles import solution_from_csv
+from oracles import scipy_solve, solution_from_csv
 
 
 def table_value(stdout: str, key: str) -> str:
@@ -266,6 +266,35 @@ class TestPlanCommand:
             "error: verification failed: commodity 1 (g2->g4) delivers 0 < requested 1\n"
         )
 
+    @pytest.mark.parametrize("big_rate", [10.0**e for e in range(6, 14)])
+    @pytest.mark.parametrize("small_rate, demand", [(6, 7), (1000, 1001), (1000, 1100)])
+    def test_a_large_pool_does_not_hide_a_short_one(self, tmp_path, capsys, big_rate, small_rate,
+                                                    demand):
+        # g1-s1 pools big_rate bits and s1-g2 too few for the request: phase 1
+        # ends with the shortfall on an artificial, which must count as
+        # infeasible however large the other pool is
+        doc = {
+            "nodes": [{"id": "g1", "kind": "gs"}, {"id": "s1", "kind": "leo"},
+                      {"id": "g2", "kind": "gs"}],
+            "links": [{"a": "g1", "b": "s1", "rate_bps": big_rate},
+                      {"a": "s1", "b": "g2", "rate_bps": small_rate}],
+            "elapsed_seconds": 1,
+            "requests": [{"src": "g1", "dst": "g2", "demand_bits": demand}],
+        }
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", str(path), "--objective", "mr"]) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "infeasible: the requested demands exceed what the key pools can carry\n"
+        )
+        scenario = netmodel.load_scenario(path)
+        graph = netmodel.accumulate_pools(scenario.graph, scenario.window_seconds)
+        commodities = [router.Commodity(*request) for request in scenario.requests]
+        program, _ = router.build_lp(graph, commodities, "mr", gs_relay=scenario.gs_relay)
+        assert scipy_solve(program)[0] is LpStatus.INFEASIBLE
+
     def test_request_beyond_exact_float_range_exits_1(self, tmp_path, capsys):
         doc = {
             "nodes": [{"id": "g1", "kind": "gs"}, {"id": "s1", "kind": "leo"},
@@ -283,6 +312,22 @@ class TestPlanCommand:
         assert captured.err == (
             "error: requests[0].demand_bits: expected an integer from 0 to 2**53 = "
             "9007199254740992, got 1152921504606846977\n"
+        )
+
+    def test_pools_beyond_exact_float_range_exit_1(self, tmp_path, capsys):
+        # fig3like's pools grown 1e12-fold total 3.7e17 bits; planned in
+        # floats, its max-min plan came out a bit off at two relays
+        doc = json.loads((Path(router.__file__).parent / "scenarios" / "fig3like.json").read_text())
+        for link in doc["links"]:
+            link["rate_bps"] *= 10**12
+        path = tmp_path / "huge-pools.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", str(path), "--objective", "mmd"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the key pools total 367800000000000000 bits, more than 2**53 = "
+            "9007199254740992, beyond which plans are not exact\n"
         )
 
     @pytest.mark.parametrize(

@@ -72,6 +72,13 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="g1-s1: a pool of .* bits is not finite"):
             accumulate_pools(line_graph(rate_a=rate), duration)
 
+    def test_pools_beyond_exact_range_rejected(self):
+        # 2**52 + 2**52 bits is the most whose sums stay exact in floats
+        at_limit = accumulate_pools(line_graph(rate_a=2.0**52, rate_b=2.0**52), 1.0)
+        assert sum(link.pool_bits for link in at_limit.links) == 2**53
+        with pytest.raises(ValueError, match=r"pools total 9007199254740993 bits, more than 2\*\*53"):
+            accumulate_pools(line_graph(rate_a=2.0**52, rate_b=2.0**52, pool_b=1), 1.0)
+
     @given(
         st.floats(min_value=0.0, max_value=2000.0),
         st.floats(min_value=0.0, max_value=100.0),

@@ -618,6 +618,44 @@ class TestVerifySolution:
         exact = route_mr(graph, [("g1", "g2", 3)], gs_relay=True)
         assert verify_solution(graph, commodities, exact, gs_relay=True).ok
 
+    def test_integral_plans_are_checked_exactly(self):
+        # a relative slack of 1e-6 lets 3 bits through on 3,000,000-bit pools
+        graph = line_pools(3_000_000, 3_000_000)
+        commodities = (Commodity("g1", "g2", demand_bits=3_000_000),)
+        over = FlowSolution(
+            kind="mr",
+            status=LpStatus.OPTIMAL,
+            commodities=commodities,
+            flows={(0, ("g1", "s1")): 3_000_003, (0, ("s1", "g2")): 3_000_003},
+            demands=(3_000_003.0,),
+        )
+        report = verify_solution(graph, commodities, over, gs_relay=True)
+        assert report.violations == (
+            "capacity exceeded on link g1-s1: 3000003.0 used > 3000000 pooled",
+            "capacity exceeded on link g2-s1: 3000003.0 used > 3000000 pooled",
+            "commodity 0 (g1->g2) delivers 3e+06 > requested 3000000",
+        )
+        # a relay that loses 2 bits breaks conservation, even for the baseline
+        lossy = FlowSolution(
+            kind="dijkstra",
+            status=LpStatus.OPTIMAL,
+            commodities=commodities,
+            flows={(0, ("g1", "s1")): 2_999_998, (0, ("s1", "g2")): 2_999_996},
+            demands=(2_999_998.0,),
+        )
+        report = verify_solution(graph, commodities, lossy, gs_relay=True)
+        assert any("conservation violated at node s1" in v for v in report.violations)
+        assert any("conservation violated at node g2" in v for v in report.violations)
+        # the slack still holds for a fractional solution
+        fractional = FlowSolution(
+            kind="mmd",
+            status=LpStatus.OPTIMAL,
+            commodities=(Commodity("g1", "g2"),),
+            flows={(0, ("g1", "s1")): 3_000_000.5, (0, ("s1", "g2")): 3_000_000.5},
+            demands=(3_000_000.5,),
+        )
+        assert verify_solution(graph, fractional.commodities, fractional, gs_relay=True).ok
+
     def test_tampered_conservation_detected(self, fig3like):
         solution = route_mmd(fig3like, [("A", "B")], gs_relay=True)
         flows = dict(solution.flows)
