@@ -14,11 +14,16 @@ are unit vectors and are not stored, so the slacks and artificials that
 start basic are never written; an artificial gets a line only when it
 leaves the basis, and those lines go before phase 2.  Phase 1, the
 eviction of artificials that follows it and phase 2 all run on these
-lines.  Every phase prices the nonbasic columns at
-cost[var] - lines @ cost[basis].  While one basic cost is nonzero, as in
-phase 2 of every max-min demand LP (whose cost is -t), the product is read
-from that one row: a sum whose other terms are exact zeros is that one
-rounded product, so the reduced costs are the same values.
+lines.  Each line ends in its column's reduced cost, the textbook
+tableau's objective row: every phase prices it once, as
+cost[var] - lines[:-1, :-1] @ cost[basis], and every pivot updates it
+with the rest of the line.  Where the arithmetic is exact, as on the flow
+LPs' small dyadic tableaux, the carried costs equal a fresh product bit
+for bit; so they do in phase 2 of a max-min demand LP (whose cost is -t),
+where they take the same float operations as the entries of the row in
+which t is basic.  Elsewhere they may differ from a fresh product in the
+last bits.  At the end of phase 2 the slack lines' last entries are the
+reduced costs of the <= rows' slacks, that is those rows' duals.
 
 Every pivot updates only the lines whose pivot-row entry is nonzero, or
 all of them when those are more than half.  A skipped line would have had
@@ -26,10 +31,10 @@ exact zeros subtracted.  The rank-1 product comes from np.einsum, one
 rounded multiplication per entry as in np.outer; on a 450 x 200 update it
 takes about 55% of np.outer's time.
 
-So the shortcuts change no pivot and no value: at most the sign of a
-zero, and the returned x holds no -0.0.  Everything is deterministic:
-identical inputs take identical pivot sequences and return identical
-solutions.
+So the pivot's shortcuts change no pivot and no value: at most the sign
+of a zero, and the returned x holds no -0.0.  Everything is
+deterministic: identical inputs take identical pivot sequences and
+return identical solutions.
 """
 from __future__ import annotations
 
@@ -126,17 +131,18 @@ def solve(lp: LinearProgram) -> LpSolution:
     # Variables: structural | ub slacks | artificials.  A <= row with a
     # nonnegative rhs starts on its slack; every other row on an
     # artificial, in row order.  The lines: every structural column, the
-    # slacks of the <= rows that start on an artificial, and the rhs.
+    # slacks of the <= rows that start on an artificial, and the rhs; each
+    # ends in a reduced-cost entry that _run prices.
     first_artificial = n + m_ub
     artificial_rows = np.flatnonzero(negative | (np.arange(b.size) >= m_ub))
     slack_rows = artificial_rows[artificial_rows < m_ub]
     var = np.r_[np.arange(n), n + slack_rows]
-    lines = np.zeros((var.size + 1, b.size))
+    lines = np.zeros((var.size + 1, b.size + 1))
     lines[:n, :m_ub] = lp.a_ub.T
-    lines[:n, m_ub:] = lp.a_eq.T
+    lines[:n, m_ub:-1] = lp.a_eq.T
     lines[np.arange(n, var.size), slack_rows] = 1.0
-    lines[-1] = b
-    lines[:, negative] *= -1.0
+    lines[-1, :-1] = b
+    lines[:, np.r_[negative, False]] *= -1.0
     basis = np.arange(n, n + b.size)
     basis[artificial_rows] = first_artificial + np.arange(artificial_rows.size)
 
@@ -148,14 +154,14 @@ def solve(lp: LinearProgram) -> LpSolution:
         # A basic artificial's level is what its own row still lacks.
         left = basis >= first_artificial
         own_row = artificial_rows[basis[left] - first_artificial]
-        if np.any(lines[-1, left] > _FEAS_TOL * np.maximum(1.0, np.abs(b[own_row]))):
+        if np.any(lines[-1, :-1][left] > _FEAS_TOL * np.maximum(1.0, np.abs(b[own_row]))):
             return LpSolution(status=LpStatus.INFEASIBLE)
         keep = _evict(lines, var, basis, first_artificial)
         # Phase 2 gets the lines in variable order, where one commodity's
         # flow lines sit together: its pivots gather them measurably faster.
         live = (var < first_artificial).nonzero()[0]
         live = live[var[live].argsort()]
-        lines = lines[np.ix_(np.r_[live, -1], keep)]
+        lines = lines[np.ix_(np.r_[live, -1], np.r_[keep, True])]
         var, basis = var[live], basis[keep]
 
     cost = np.zeros(first_artificial)
@@ -164,7 +170,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         return LpSolution(status=LpStatus.UNBOUNDED)
 
     values = np.zeros(first_artificial)
-    values[basis] = lines[-1]
+    values[basis] = lines[-1, :-1]
     x = values[:n] + 0.0  # no -0.0 entries
     if not _feasible(lp, x):  # pragma: no cover - numerical safety net
         raise ArithmeticError("simplex returned an infeasible point")
@@ -223,34 +229,29 @@ def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> tupl
 def _run(lines: np.ndarray, var: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> LpStatus:
     """Pivot the condensed lines until cost is optimal or unbounded, in place.
 
-    lines[s] is the column of variable var[s], and lines[-1] the rhs.  The
-    nonbasic columns' reduced costs are cost[var] - lines[:-1] @ cost[basis];
-    the basic columns' are zero, never a candidate.  cost[var], cost[basis]
-    and the rows whose basic cost is nonzero are kept across pivots: with
-    no such row the reduced costs are cost[var], with one they come from
-    that row alone.  The rules see the variables through var, so they pick
-    what they would on the full tableau: Dantzig's rule the smallest
-    variable among the exact minima, Bland's the smallest candidate.
+    lines[s, :-1] is the column of variable var[s], and lines[-1, :-1] the
+    rhs.  On entry lines[:-1, -1] is priced once, as the nonbasic columns'
+    reduced costs cost[var] - lines[:-1, :-1] @ cost[basis]; every pivot then
+    updates that entry with the rest of its line, as the objective row of
+    the textbook tableau, and lines[-1, -1] goes along unread.  The carried
+    costs stay bit-equal to a fresh product while the pivots round nothing,
+    and in max-min phase 2, whose one nonzero cost is -1 on t: while t is
+    basic in row R, each cost entry takes the same float operations as its
+    line's entry in row R.  Elsewhere they may drift in the last bits.
+    The basic columns' reduced costs are zero, never a candidate.  The
+    rules see the variables through var, so they pick what they would on
+    the full tableau: Dantzig's rule the smallest variable among the exact
+    minima, Bland's the smallest candidate.
     Dantzig's rule holds until _DEGENERATE_SWITCH degenerate pivots come in
     a row; Bland's rule then holds for the rest of this run.
     """
     if var.size == 0:
         return LpStatus.OPTIMAL
-    cost_var, cost_basis = cost[var], cost[basis]
-    costed = cost_basis.nonzero()[0]
-    nonzero_costs = np.count_nonzero(cost_var) + costed.size  # pivots only swap costs
-    rhs = lines[-1]
+    lines[:-1, -1] = cost[var] - lines[:-1, :-1] @ cost[basis]
+    reduced, rhs = lines[:-1, -1], lines[-1, :-1]
     blands_rule = False
     degenerate_run = 0
     for _ in range(200 * (2 * basis.size + var.size) + 10_000):  # 200 per row and variable
-        if costed.size == 0:
-            reduced = cost_var
-        elif costed.size == 1:
-            reduced = lines[:-1, costed[0]] * -cost_basis[costed[0]]
-            if nonzero_costs > 1:
-                reduced += cost_var
-        else:
-            reduced = cost_var - lines[:-1] @ cost_basis
         if blands_rule:
             slot = int(np.where(reduced < -_OPT_TOL, var, cost.size).argmin())
         else:
@@ -261,7 +262,7 @@ def _run(lines: np.ndarray, var: np.ndarray, basis: np.ndarray, cost: np.ndarray
             ties = (reduced == reduced[slot]).nonzero()[0]
             if ties.size > 1:
                 slot = int(ties[var[ties].argmin()])
-        row, best = _leaving_row(lines[slot], rhs, basis)
+        row, best = _leaving_row(lines[slot, :-1], rhs, basis)
         if row < 0:
             return LpStatus.UNBOUNDED
         if best <= _PIVOT_TOL:
@@ -269,9 +270,6 @@ def _run(lines: np.ndarray, var: np.ndarray, basis: np.ndarray, cost: np.ndarray
             blands_rule = blands_rule or degenerate_run >= _DEGENERATE_SWITCH
         else:
             degenerate_run = 0
-        if cost_var[slot] or cost_basis[row]:
-            cost_var[slot], cost_basis[row] = cost_basis[row], cost_var[slot]
-            costed = cost_basis.nonzero()[0]
         _pivot(lines, var, basis, row, slot)
     raise RuntimeError("simplex iteration limit exceeded")  # pragma: no cover
 

@@ -309,6 +309,8 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, a huge integer
+            raise ScenarioError(f"{path}: {exc}") from exc
     else:
         raw = source
     if not isinstance(raw, dict):

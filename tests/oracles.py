@@ -10,10 +10,11 @@ share the router's min-hop search (itself checked against
 filling loop is under test.  ``pivot_condensed_dense`` is the simplex
 pivot with every line updated, which the line-skipping ``lp._pivot`` must
 equal, and ``solve_condensed_dense`` the two-phase simplex on those lines
-with its own rule code and the full reduced-cost product in every phase,
-which ``lp.solve`` must equal pivot for pivot.  ``solve_row_major`` keeps
-the full row-major tableau, pivoted by ``pivot_dense``, as a second
-reference.
+with its own rule code, which ``lp.solve`` must equal pivot for pivot.
+Both it and ``solve_row_major``, which keeps the full row-major tableau
+pivoted by ``pivot_dense`` as a second reference, carry the reduced costs
+as ``lp.solve`` does: priced once per phase by the full product, then
+updated by every pivot as one more tableau entry per column.
 ``build_lp_loop`` fills the flow LP one column at a time, which
 ``router.build_lp``'s index-array fill must equal byte for byte.
 The reference models check the planner's assumptions from first principles:
@@ -510,8 +511,9 @@ def _phase1_tableau(lp: LinearProgram):
 
     A <= row with a nonnegative rhs starts on its slack; every other row is
     negated where its rhs is negative and starts on an artificial, in row
-    order.  Returns the tableau, the basis, the first artificial column,
-    the rows that got an artificial, and the right-hand sides.
+    order.  Under the rows goes a reduced-cost row of zeros, which each
+    phase prices.  Returns the tableau, the basis, the first artificial
+    column, the rows that got an artificial, and the right-hand sides.
     """
     n = lp.num_variables
     m_ub = lp.b_ub.size
@@ -520,12 +522,12 @@ def _phase1_tableau(lp: LinearProgram):
     first_artificial = n + m_ub
     artificial_rows = np.flatnonzero(negative | (np.arange(b.size) >= m_ub))
     artificial_cols = first_artificial + np.arange(artificial_rows.size)
-    t = np.zeros((b.size, first_artificial + artificial_rows.size + 1))
+    t = np.zeros((b.size + 1, first_artificial + artificial_rows.size + 1))
     t[:m_ub, :n] = lp.a_ub
     t[np.arange(m_ub), np.arange(n, first_artificial)] = 1.0
-    t[m_ub:, :n] = lp.a_eq
-    t[negative, :first_artificial] *= -1.0
-    t[:, -1] = np.where(negative, -b, b)
+    t[m_ub:-1, :n] = lp.a_eq
+    t[np.flatnonzero(negative), :first_artificial] *= -1.0
+    t[:-1, -1] = np.where(negative, -b, b)
     t[artificial_rows, artificial_cols] = 1.0
     basis = np.arange(n, n + b.size)
     basis[artificial_rows] = artificial_cols
@@ -554,10 +556,11 @@ def solve_row_major(lp: LinearProgram, trace: Optional[list] = None) -> LpSoluti
     """The two-phase simplex on a full row-major tableau.
 
     Every phase keeps the whole tableau, artificial columns included,
-    computes its reduced costs with the full product ``cost[basis] @ T`` on
-    every iteration and pivots with ``pivot_dense``.  ``trace``, when given,
-    receives every ``(row, col)`` pivoted, with ``EVICT`` and ``PHASE2``
-    marking the start and the end of artificial eviction.
+    prices its reduced-cost row once with the full product
+    ``cost - cost[basis] @ T`` and pivots that row with the rest of the
+    tableau by ``pivot_dense``.  ``trace``, when given, receives every
+    ``(row, col)`` pivoted, with ``EVICT`` and ``PHASE2`` marking the start
+    and the end of artificial eviction.
     """
     record = [] if trace is None else trace
 
@@ -572,11 +575,11 @@ def solve_row_major(lp: LinearProgram, trace: Optional[list] = None) -> LpSoluti
         phase1_cost[first_artificial:] = 1.0
         if _run_row_major(t, basis, phase1_cost, pivot) is not LpStatus.OPTIMAL:
             raise RuntimeError("phase 1 terminated abnormally")
-        if _phase1_infeasible(t[:, -1], basis, first_artificial, artificial_rows, b):
+        if _phase1_infeasible(t[:-1, -1], basis, first_artificial, artificial_rows, b):
             return LpSolution(status=LpStatus.INFEASIBLE)
         record.append(EVICT)
         keep = []
-        for row in range(t.shape[0]):
+        for row in range(len(basis)):
             if basis[row] >= first_artificial:
                 candidates = np.where(
                     np.abs(t[row, :first_artificial]) > lp_module._PIVOT_TOL)[0]
@@ -584,7 +587,7 @@ def solve_row_major(lp: LinearProgram, trace: Optional[list] = None) -> LpSoluti
                     continue
                 pivot(t, basis, row, int(candidates[0]))
             keep.append(row)
-        t = np.delete(t[keep], np.s_[first_artificial:-1], axis=1)
+        t = np.delete(t[keep + [-1]], np.s_[first_artificial:-1], axis=1)
         basis = [basis[row] for row in keep]
         record.append(PHASE2)
 
@@ -593,16 +596,20 @@ def solve_row_major(lp: LinearProgram, trace: Optional[list] = None) -> LpSoluti
     if _run_row_major(t, basis, phase2_cost, pivot) is LpStatus.UNBOUNDED:
         return LpSolution(status=LpStatus.UNBOUNDED)
     values = np.zeros(t.shape[1] - 1)
-    values[basis] = t[:, -1]
+    values[basis] = t[:-1, -1]
     return _optimal(lp, values)
 
 
 def _run_row_major(t, basis, cost, pivot) -> LpStatus:
-    """The pivoting loop of ``solve_row_major``: Dantzig, then Bland."""
+    """The pivoting loop of ``solve_row_major``: Dantzig, then Bland.
+
+    Prices the reduced-cost row ``t[-1, :-1]`` once; the pivots update it.
+    """
+    t[-1, :-1] = cost - cost[basis] @ t[:-1, :-1]
+    reduced = t[-1, :-1]
     blands_rule = False
     degenerate_run = 0
-    for _ in range(200 * (t.shape[0] + t.shape[1] - 1) + 10_000):
-        reduced = cost - cost[basis] @ t[:, :-1]
+    for _ in range(200 * (len(basis) + t.shape[1] - 1) + 10_000):
         candidates = np.where(reduced < -lp_module._OPT_TOL)[0]
         if candidates.size == 0:
             return LpStatus.OPTIMAL
@@ -610,7 +617,7 @@ def _run_row_major(t, basis, cost, pivot) -> LpStatus:
             col = int(candidates[0])
         else:
             col = int(candidates[np.argmin(reduced[candidates])])
-        column = t[:, col]
+        column = t[:-1, col]
         rows = np.where(column > lp_module._PIVOT_TOL)[0]
         if rows.size == 0:
             return LpStatus.UNBOUNDED
@@ -631,11 +638,13 @@ def solve_condensed_dense(lp: LinearProgram, trace: Optional[list] = None) -> Lp
     """The two-phase simplex on condensed lines, every line updated at every pivot.
 
     The lines are the nonbasic columns of ``_phase1_tableau``'s tableau,
-    one C-contiguous line each in variable order, and its rhs last.  Each
-    iteration prices with the full product ``cost[var] - lines @ cost[basis]``
-    and pivots with ``pivot_condensed_dense``.  An artificial that leaves
-    the basis keeps its line; after eviction the artificials' lines and
-    the redundant rows are dropped and the rest sorted by variable.
+    one C-contiguous line each in variable order, and its rhs last; each
+    line ends in its reduced cost.  Each phase prices those entries once
+    with the full product ``cost[var] - lines[:-1, :-1] @ cost[basis]``,
+    and ``pivot_condensed_dense`` updates them with the rest of the lines.
+    An artificial that leaves the basis keeps its line; after eviction the
+    artificials' lines and the redundant rows are dropped and the rest
+    sorted by variable.
     ``trace``, when given, receives every ``(row, entering variable)``
     pivoted, with ``EVICT`` and ``PHASE2`` marking the start and the end of
     artificial eviction.
@@ -654,7 +663,7 @@ def solve_condensed_dense(lp: LinearProgram, trace: Optional[list] = None) -> Lp
         phase1_cost[first_artificial:] = 1.0
         if _run_condensed(lines, var, basis, phase1_cost, pivot) is not LpStatus.OPTIMAL:
             raise RuntimeError("phase 1 terminated abnormally")
-        if _phase1_infeasible(lines[-1], basis, first_artificial, artificial_rows, b):
+        if _phase1_infeasible(lines[-1, :-1], basis, first_artificial, artificial_rows, b):
             return LpSolution(status=LpStatus.INFEASIBLE)
         record.append(EVICT)
         keep = []
@@ -671,7 +680,7 @@ def solve_condensed_dense(lp: LinearProgram, trace: Optional[list] = None) -> Lp
             keep.append(row)
         kept = sorted((s for s in range(var.size) if var[s] < first_artificial),
                       key=lambda s: var[s])
-        lines = lines[kept + [-1]][:, keep]
+        lines = lines[kept + [-1]][:, keep + [-1]]
         var, basis = var[kept], basis[keep]
         record.append(PHASE2)
 
@@ -680,7 +689,7 @@ def solve_condensed_dense(lp: LinearProgram, trace: Optional[list] = None) -> Lp
     if _run_condensed(lines, var, basis, phase2_cost, pivot) is LpStatus.UNBOUNDED:
         return LpSolution(status=LpStatus.UNBOUNDED)
     values = np.zeros(first_artificial)
-    values[basis] = lines[-1]
+    values[basis] = lines[-1, :-1]
     return _optimal(lp, values)
 
 
@@ -689,19 +698,21 @@ def _run_condensed(lines, var, basis, cost, pivot) -> LpStatus:
 
     Both rules pick among the variables, not the line positions: Dantzig's
     the smallest variable among the least reduced costs, Bland's the
-    smallest variable with a negative one.
+    smallest variable with a negative one.  Prices ``lines[:-1, -1]`` once;
+    the pivots update it.
     """
+    lines[:-1, -1] = cost[var] - lines[:-1, :-1] @ cost[basis]
+    reduced = lines[:-1, -1]
     blands_rule = False
     degenerate_run = 0
     for _ in range(200 * (2 * basis.size + var.size) + 10_000):
-        reduced = cost[var] - lines[:-1] @ cost[basis]
         candidates = np.where(reduced < -lp_module._OPT_TOL)[0]
         if candidates.size == 0:
             return LpStatus.OPTIMAL
         if not blands_rule:
             candidates = candidates[reduced[candidates] == reduced[candidates].min()]
         slot = int(candidates[np.argmin(var[candidates])])
-        column = lines[slot]
+        column = lines[slot, :-1]
         rows = np.where(column > lp_module._PIVOT_TOL)[0]
         if rows.size == 0:
             return LpStatus.UNBOUNDED

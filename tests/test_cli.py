@@ -138,6 +138,18 @@ class TestPlanCommand:
         assert "Traceback" not in run.stderr
         assert run.stderr.startswith("error: nodes[0].kind") and run.stderr.count("\n") == 1
 
+    def test_undecodable_scenario_exits_1_with_one_line(self, tmp_path):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 200_000 + "]" * 200_000)
+        run = subprocess.run(
+            [sys.executable, "-m", "qkdplan", "plan", str(nested), "--objective", "mmd"],
+            env={**os.environ, "PYTHONPATH": str(Path(router.__file__).resolve().parents[1])},
+            capture_output=True, text=True,
+        )
+        assert run.returncode == EXIT_INPUT_ERROR
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith(f"error: {nested}: ") and run.stderr.count("\n") == 1
+
     def test_deterministic_stdout(self, capsys):
         assert main(["plan", "fig3like", "--objective", "mmd"]) == EXIT_OK
         first = capsys.readouterr().out

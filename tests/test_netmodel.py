@@ -373,6 +373,24 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="line 1"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "content, fragment",
+        [
+            (b"[" * 200_000 + b"]" * 200_000, "recursion"),
+            ('{"nodes": [], "links": []}'.encode("utf-16"), "codec can't decode"),
+            (b'{"requests": [{"src": "g1", "dst": "g2", "demand_bits": ' + b"7" * 5001 + b"}]}",
+             "digits"),
+        ],
+        ids=["nested", "utf-16", "long-integer"],
+    )
+    def test_undecodable_file_names_the_path(self, tmp_path, content, fragment):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        with pytest.raises(ScenarioError) as raised:
+            load_scenario(path)
+        message = str(raised.value)
+        assert message.startswith(f"{path}: ") and fragment in message, message
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario(tmp_path / "absent.json")
