@@ -5,9 +5,11 @@ Two subcommands:
 * ``qkdplan rate PRESET [--distance M] [overrides]`` prints the modelled
   link budget, gains/QBERs and secret-key rate for one link class.
 * ``qkdplan plan SCENARIO --objective {mmd,mr,dijkstra}`` loads a scenario
-  file (a path or the name of a bundled scenario), accumulates the key
-  pools over the declared window, runs the selected planner, verifies the
-  solution independently, and emits a markdown or CSV report.
+  file (a path, or the name of a bundled scenario in the package's
+  ``scenarios`` directory), accumulates the key pools over the declared
+  window, runs the selected planner, verifies the solution independently
+  against the commodities it was asked for, and emits a markdown or CSV
+  report.
 
 Exit codes: 0 success, 1 input error (including a report that cannot be
 written, a non-finite ``rate`` number, and a scenario link whose preset
@@ -25,7 +27,6 @@ import dataclasses
 import functools
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -141,36 +142,36 @@ def _cmd_rate(args) -> int:
     return EXIT_OK
 
 
+_SCENARIO_DIR = Path(__file__).resolve().parent / "scenarios"
+
+
 def _resolve_scenario(token: str) -> netmodel.Scenario:
     path = Path(token)
-    if path.exists():
-        return netmodel.load_scenario(path)
-    name = token if token.endswith(".json") else f"{token}.json"
-    bundle = resources.files("qkdplan").joinpath("scenarios", name)
-    if bundle.is_file():
-        import json
-
-        return netmodel.load_scenario(json.loads(bundle.read_text()))
-    raise netmodel.ScenarioError(
-        f"scenario {token!r} is neither a file nor a bundled scenario "
-        f"(bundled: {', '.join(sorted(bundled_scenarios()))})"
-    )
+    if not path.exists():
+        path = _SCENARIO_DIR / (token if token.endswith(".json") else f"{token}.json")
+        if not path.is_file():
+            raise netmodel.ScenarioError(
+                f"scenario {token!r} is neither a file nor a bundled scenario "
+                f"(bundled: {', '.join(bundled_scenarios())})"
+            )
+    return netmodel.load_scenario(path)
 
 
 def bundled_scenarios() -> tuple[str, ...]:
-    base = resources.files("qkdplan").joinpath("scenarios")
-    return tuple(sorted(p.name[: -len(".json")] for p in base.iterdir() if p.name.endswith(".json")))
+    return tuple(sorted(path.stem for path in _SCENARIO_DIR.glob("*.json")))
 
 
-def _mmd_pairs(scenario: netmodel.Scenario) -> tuple[tuple[str, str], ...]:
+def _commodities(scenario: netmodel.Scenario, objective: str) -> tuple[netmodel.Commodity, ...]:
+    """What a plan is asked for: the scenario's requests, or for ``mmd`` one
+    demand-less commodity per requested pair in first-request order (every
+    ground-station pair when nothing is requested)."""
+    if objective != "mmd":
+        return scenario.requests
     if not scenario.requests:
-        return router.gs_pairs(scenario.graph)
-    seen = []
-    for req in scenario.requests:
-        pair = netmodel.canonical_pair(req.src, req.dst)
-        if pair not in seen:
-            seen.append(pair)
-    return tuple(seen)
+        pairs = router.gs_pairs(scenario.graph)
+    else:
+        pairs = dict.fromkeys(netmodel.canonical_pair(*c.pair) for c in scenario.requests)
+    return tuple(netmodel.Commodity(a, b) for a, b in pairs)
 
 
 def build_markdown(
@@ -238,15 +239,14 @@ def _cmd_plan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
+    commodities = _commodities(scenario, args.objective)
+    planner = {
+        "mmd": router.route_mmd,
+        "mr": router.route_mr,
+        "dijkstra": router.route_sequential_dijkstra,
+    }[args.objective]
     try:
-        if args.objective == "mmd":
-            solution = router.route_mmd(graph, _mmd_pairs(scenario), gs_relay=scenario.gs_relay)
-        elif args.objective == "mr":
-            solution = router.route_mr(graph, scenario.requests, gs_relay=scenario.gs_relay)
-        else:
-            solution = router.route_sequential_dijkstra(
-                graph, scenario.requests, gs_relay=scenario.gs_relay
-            )
+        solution = planner(graph, commodities, gs_relay=scenario.gs_relay)
     except (RuntimeError, ArithmeticError) as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
@@ -262,7 +262,7 @@ def _cmd_plan(args) -> int:
         return EXIT_SOLVER_FAILURE
 
     violations = router.verify_solution(
-        graph, solution.commodities, solution, gs_relay=scenario.gs_relay
+        graph, commodities, solution, gs_relay=scenario.gs_relay
     ).violations
     if not solution.integral:
         violations += ("the plan has a fractional flow or demand",)

@@ -7,7 +7,10 @@ key pool that grows while the network is up and is consumed by relaying.
 Pools are undirected: the shared secret on a link is symmetric between
 its two holders, so flow in either direction draws from the same pool.
 
-Also provides the scenario JSON loader used by the CLI.
+A :class:`Commodity` is one key-exchange request between two ground
+stations, the one request type from a scenario file's ``requests`` to the
+planners and the verifier.  Also provides the scenario JSON loader used by
+the CLI.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import Optional, Union
 
 from . import linkbudget
 
@@ -30,7 +33,7 @@ __all__ = [
     "Link",
     "QkdGraph",
     "GraphError",
-    "Request",
+    "Commodity",
     "Scenario",
     "ScenarioError",
     "canonical_pair",
@@ -209,19 +212,42 @@ def accumulate_pools(graph: QkdGraph, duration_s: float) -> QkdGraph:
     return snapshot
 
 
-class Request(NamedTuple):
-    src: str
-    dst: str
-    demand_bits: int
+@dataclass(frozen=True)
+class Commodity:
+    """One key-exchange request; demand None means variable (max-min), else whole bits."""
+
+    source: str
+    sink: str
+    demand_bits: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.source == self.sink:
+            raise ValueError(f"commodity endpoints must differ, got {self.source!r} twice")
+        demand = self.demand_bits
+        whole = isinstance(demand, int) and not isinstance(demand, bool)
+        if demand is not None and not (whole and demand >= 0):
+            raise ValueError(f"demand must be an integer >= 0, got {demand!r}")
+
+    @property
+    def pair(self) -> tuple[str, str]:
+        return (self.source, self.sink)
+
+    # The scenario file's names for the endpoints, which
+    # benchmark/test_bench.py reads from Scenario.requests.
+    src = property(lambda self: self.source)
+    dst = property(lambda self: self.sink)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario: graph (pools empty), window length, requests, options."""
+    """Parsed scenario: graph (pools empty), window length, requests, options.
+
+    Each request is a :class:`Commodity` with its ``demand_bits`` set.
+    """
 
     graph: QkdGraph
     window_seconds: float
-    requests: tuple[Request, ...]
+    requests: tuple[Commodity, ...]
     gs_relay: bool
 
 
@@ -364,7 +390,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
                 f"requests[{i}].demand_bits: expected an integer from 0 to 2**53 = "
                 f"{_MAX_EXACT}, got {demand!r}"
             )
-        requests.append(Request(src=src, dst=dst, demand_bits=demand))
+        requests.append((src, dst, demand))
 
     options = raw.get("options", {})
     if not isinstance(options, dict):
@@ -384,18 +410,18 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         raise ScenarioError(f"{field}[{i}]: {exc}") from exc
 
     node_kinds = {n.id: n.kind for n in nodes}
-    for i, req in enumerate(requests):
-        for role, node_id in (("src", req.src), ("dst", req.dst)):
+    for i, (src, dst, _) in enumerate(requests):
+        for role, node_id in (("src", src), ("dst", dst)):
             if node_id not in node_kinds:
                 raise ScenarioError(f"requests[{i}].{role}: unknown node {node_id!r}")
             if node_kinds[node_id] != NodeKind.GROUND_STATION:
                 raise ScenarioError(f"requests[{i}].{role}: node {node_id!r} is not a ground station")
-        if req.src == req.dst:
+        if src == dst:
             raise ScenarioError(f"requests[{i}]: src and dst must differ")
 
     return Scenario(
         graph=graph,
         window_seconds=float(elapsed),
-        requests=tuple(requests),
+        requests=tuple(Commodity(*request) for request in requests),
         gs_relay=gs_relay,
     )

@@ -1,14 +1,18 @@
 """Multi-commodity key-flow routing over a QkdGraph.
 
-Encodes the key-exchange requests as a multi-commodity flow LP over the
-link key pools and provides three planners:
+Encodes the key-exchange requests, each a
+:class:`~qkdplan.netmodel.Commodity`, as a multi-commodity flow LP over
+the link key pools and provides three planners, each taking a sequence
+of commodities:
 
-* :func:`route_mmd` maximizes the minimum fulfilled demand across all
-  ground-station pairs (via a dummy variable t with rows t <= d_i),
+* :func:`route_mmd` maximizes the minimum fulfilled demand across
+  commodities without ``demand_bits`` (via a dummy variable t with rows
+  t <= d_i),
 * :func:`route_mr` minimizes total key consumption at fixed demands
   (unit cost per flow variable: a relay hop spends one pool bit per key bit),
 * :func:`route_sequential_dijkstra` is the order-dependent baseline that
-  serves requests one at a time over min-hop paths with residual pools.
+  serves fixed requests one at a time over min-hop paths with residual
+  pools.
 
 Every path the module takes is the lexicographically smallest min-hop
 path over the links still usable (:func:`_min_hop_path`).  Fractional LP
@@ -45,10 +49,9 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .lp import LinearProgram, LpStatus, solve
-from .netmodel import NodeKind, QkdGraph, canonical_pair
+from .netmodel import Commodity, NodeKind, QkdGraph, canonical_pair
 
 __all__ = [
-    "Commodity",
     "FlowSolution",
     "VerificationReport",
     "gs_pairs",
@@ -68,27 +71,6 @@ _VERIFY_TOL = 1e-6  # relative slack of the verifier's checks on a fractional so
 
 DirectedEdge = tuple[str, str]
 FlowKey = tuple[int, DirectedEdge]
-
-
-@dataclass(frozen=True)
-class Commodity:
-    """One key-exchange request; demand None means variable (max-min), else whole bits."""
-
-    source: str
-    sink: str
-    demand_bits: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.source == self.sink:
-            raise ValueError(f"commodity endpoints must differ, got {self.source!r} twice")
-        demand = self.demand_bits
-        whole = isinstance(demand, int) and not isinstance(demand, bool)
-        if demand is not None and not (whole and demand >= 0):
-            raise ValueError(f"demand must be an integer >= 0, got {demand!r}")
-
-    @property
-    def pair(self) -> tuple[str, str]:
-        return (self.source, self.sink)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +140,9 @@ def gs_pairs(graph: QkdGraph) -> tuple[tuple[str, str], ...]:
     )
 
 
-def _check_commodities(graph: QkdGraph, commodities: Sequence[Commodity]) -> None:
+def _check_commodities(graph: QkdGraph, commodities: Sequence[Commodity], kind: str) -> None:
+    """Raise ValueError unless every endpoint is a ground station and the
+    demands fit ``kind``: none fixed for ``mmd``, all fixed otherwise."""
     for i, commodity in enumerate(commodities):
         for node_id in commodity.pair:
             node = graph.node(node_id)  # raises KeyError for unknown nodes
@@ -167,6 +151,12 @@ def _check_commodities(graph: QkdGraph, commodities: Sequence[Commodity]) -> Non
                     f"commodity {i} endpoint {node_id!r} is a {node.kind.value}; "
                     "only ground stations exchange keys"
                 )
+    fixed = [c.demand_bits is not None for c in commodities]
+    if kind == "mmd" and any(fixed):
+        raise ValueError("max-min demand uses variable demands; do not fix demand_bits")
+    if kind != "mmd" and not all(fixed):
+        name = "min-resource" if kind == "mr" else "the sequential baseline"
+        raise ValueError(f"{name} needs a fixed demand on every commodity")
 
 
 def _usable_nodes(graph: QkdGraph, pair: tuple[str, str], gs_relay: bool) -> list[str]:
@@ -219,11 +209,7 @@ def build_lp(
     if objective not in ("mmd", "mr"):
         raise ValueError(f"objective must be 'mmd' or 'mr', got {objective!r}")
     commodities = tuple(commodities)
-    _check_commodities(graph, commodities)
-    if objective == "mmd" and any(c.demand_bits is not None for c in commodities):
-        raise ValueError("max-min demand uses variable demands; do not fix demand_bits")
-    if objective == "mr" and any(c.demand_bits is None for c in commodities):
-        raise ValueError("min-resource needs a fixed demand on every commodity")
+    _check_commodities(graph, commodities, objective)
     k = len(commodities)
     if k == 0:
         return LinearProgram(objective=np.zeros(0)), ()
@@ -499,29 +485,24 @@ def greedy_round(
 
 # --- planners ----------------------------------------------------------------
 
-def _fixed_demands(requests: Sequence[tuple[str, str, int]]) -> tuple[Commodity, ...]:
-    return tuple(Commodity(src, dst, demand) for src, dst, demand in requests)
-
-
 def route_mmd(
     graph: QkdGraph,
-    pairs: Iterable[tuple[str, str]],
+    commodities: Sequence[Commodity],
     *,
     gs_relay: bool,
 ) -> FlowSolution:
-    """Maximize the minimum fulfilled demand over ground-station pairs.
+    """Maximize the minimum fulfilled demand over commodities without ``demand_bits``.
 
-    One variable-demand commodity per pair (:func:`gs_pairs` gives all of
-    them); solves the max-min LP, then rounds greedily.
+    Give one commodity per ground-station pair to plan (:func:`gs_pairs`
+    lists every pair); solves the max-min LP, then rounds greedily.
     """
-    commodities = [Commodity(source=a, sink=b) for a, b in pairs]
     fractional = solve_fractional(graph, commodities, "mmd", gs_relay=gs_relay)
     return greedy_round(graph, fractional, gs_relay=gs_relay)
 
 
 def route_mr(
     graph: QkdGraph,
-    requests: Sequence[tuple[str, str, int]],
+    commodities: Sequence[Commodity],
     *,
     gs_relay: bool,
 ) -> FlowSolution:
@@ -531,25 +512,25 @@ def route_mr(
     demands exceed what the pools can carry; otherwise rounds greedily,
     topping commodities back up to at most their requested amount.
     """
-    fractional = solve_fractional(graph, _fixed_demands(requests), "mr", gs_relay=gs_relay)
+    fractional = solve_fractional(graph, commodities, "mr", gs_relay=gs_relay)
     return greedy_round(graph, fractional, gs_relay=gs_relay)
 
 
 def route_sequential_dijkstra(
     graph: QkdGraph,
-    requests: Sequence[tuple[str, str, int]],
+    commodities: Sequence[Commodity],
     *,
     gs_relay: bool,
 ) -> FlowSolution:
-    """Serve requests one at a time over min-hop paths (the baseline).
+    """Serve fixed requests one at a time over min-hop paths (the baseline).
 
     Each request in turn runs rounding stage 2 (:func:`_fill`) alone, on
     the pools earlier requests left: it pushes its residual path's
     bottleneck, capped by the remaining demand, until the demand is met or
     no path is left.  So the outcome depends on the request order.
     """
-    commodities = _fixed_demands(requests)
-    _check_commodities(graph, commodities)
+    commodities = tuple(commodities)
+    _check_commodities(graph, commodities, "dijkstra")
     residual = {link.endpoints: link.pool_bits for link in graph.links}
     flows: dict[FlowKey, int] = {}
     demands = [0] * len(commodities)
@@ -592,14 +573,17 @@ def verify_solution(
     delivered more than that, and in an ``mr`` plan not less either (the
     ``dijkstra`` baseline may fall short by design).  Flows of a commodity
     index outside ``commodities`` are reported once per index.  The plan
-    must give one finite, nonnegative demand per commodity, and every flow
-    must be finite.  An integral plan, as the CLI reports, is checked with
-    no slack, since float sums of whole numbers up to 2**53 are exact; a
-    fractional one within a relative _VERIFY_TOL.
+    must carry ``commodities`` themselves, in order, and give one finite,
+    nonnegative demand per commodity, and every flow must be finite.  An
+    integral plan, as the CLI reports, is checked with no slack, since
+    float sums of whole numbers up to 2**53 are exact; a fractional one
+    within a relative _VERIFY_TOL.
     """
     commodities, demands = tuple(commodities), solution.demands
     tol = 0.0 if solution.integral else _VERIFY_TOL
     violations: list[str] = []
+    if tuple(solution.commodities) != commodities:
+        violations.append("the plan's commodities differ from the requested ones")
     if len(demands) != len(commodities):
         violations.append(f"demand count {len(demands)} != commodity count {len(commodities)}")
     transits: set[tuple[int, str]] = set()  # (commodity, foreign ground station)

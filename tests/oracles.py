@@ -50,9 +50,8 @@ from qkdplan.decoy import (
 )
 from qkdplan.linkbudget import FsoLinkParams, total_attenuation
 from qkdplan.lp import LinearProgram, LpSolution, LpStatus
-from qkdplan.netmodel import Link, Node, NodeKind, QkdGraph, canonical_pair
+from qkdplan.netmodel import Commodity, Link, Node, NodeKind, QkdGraph, canonical_pair
 from qkdplan.router import (
-    Commodity,
     FlowKey,
     FlowSolution,
     _floor_paths,
@@ -200,7 +199,7 @@ def mmd_integral_optimum(
 
 def mr_integral_optimum(
     graph: QkdGraph,
-    requests: list[tuple[str, str, int]],
+    commodities: list[Commodity],
     gs_relay: bool = True,
 ) -> Optional[int]:
     """Minimum total pool bits consumed by any integral routing, None if infeasible.
@@ -210,8 +209,8 @@ def mr_integral_optimum(
     enumerated once.  Every relayed bit crosses at least two links, which
     gives the admissible lower bound used for pruning.
     """
-    all_paths = [sorted(simple_paths(graph, s, t, gs_relay), key=len) for s, t, _ in requests]
-    demands = [d for _, _, d in requests]
+    all_paths = [sorted(simple_paths(graph, *c.pair, gs_relay), key=len) for c in commodities]
+    demands = [c.demand_bits for c in commodities]
     pools0 = {link.endpoints: link.pool_bits for link in graph.links}
     best: list[Optional[int]] = [None]
 
@@ -239,7 +238,7 @@ def mr_integral_optimum(
             spread(idx, path_pos + 1, remaining - take, nxt, cost + take * len(edges))
 
     def rec(idx: int, pools, cost) -> None:
-        if idx == len(requests):
+        if idx == len(commodities):
             if best[0] is None or cost < best[0]:
                 best[0] = cost
             return
@@ -302,7 +301,7 @@ def greedy_round_one_key(
 
 def sequential_dijkstra_push(
     graph: QkdGraph,
-    requests: Sequence[tuple[str, str, int]],
+    commodities: Sequence[Commodity],
     gs_relay: bool = True,
 ) -> FlowSolution:
     """The sequential baseline as its own search-and-push loop.
@@ -313,9 +312,6 @@ def sequential_dijkstra_push(
     rounding's progressive filling one request at a time, must give
     exactly this solution.
     """
-    commodities = [
-        Commodity(source=src, sink=dst, demand_bits=demand) for src, dst, demand in requests
-    ]
     residual = {link.endpoints: link.pool_bits for link in graph.links}
     flows: dict[FlowKey, int] = {}
     fulfilled = []

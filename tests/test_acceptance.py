@@ -145,35 +145,29 @@ def check_oracles(graph, pairs, overdemand: bool, gs_relay: bool) -> None:
     assert rounded.min_demand <= t_integral + 1e-9
     assert t_integral - rounded.min_demand <= k
 
-    requests = [
-        (c.source, c.sink, min(int(d), 8))
+    mr_commodities = [
+        Commodity(c.source, c.sink, min(int(d), 8))
         for c, d in zip(rounded.commodities, rounded.demands)
     ]
-    mr_commodities = [Commodity(s, t, demand_bits=d) for s, t, d in requests]
     mr_lp, _ = build_lp(graph, mr_commodities, "mr", gs_relay=gs_relay)
     mr_mine = solve(mr_lp)
     mr_ref_status, mr_ref_value = scipy_solve(mr_lp)
     assert mr_mine.status is mr_ref_status is LpStatus.OPTIMAL
     assert abs(mr_mine.objective_value - mr_ref_value) <= 1e-6
-    mr_rounded = route_mr(graph, requests, gs_relay=gs_relay)
+    mr_rounded = route_mr(graph, mr_commodities, gs_relay=gs_relay)
     assert mr_rounded.status is LpStatus.OPTIMAL
     assert verify_solution(graph, mr_commodities, mr_rounded, gs_relay=gs_relay).ok
-    assert mr_rounded.demands == tuple(float(d) for _, _, d in requests)
-    best = mr_integral_optimum(graph, requests, gs_relay=gs_relay)
+    assert mr_rounded.demands == tuple(float(c.demand_bits) for c in mr_commodities)
+    best = mr_integral_optimum(graph, mr_commodities, gs_relay=gs_relay)
     assert best is not None
     assert best <= mr_rounded.total_flow <= best + k
 
     # over-demand beyond the strongest cut must be infeasible both ways
     if overdemand:
         total = sum(link.pool_bits for link in graph.links)
-        src, dst, _ = requests[0]
-        bad = [(src, dst, total + 1)] + requests[1:]
-        bad_lp, _ = build_lp(
-            graph,
-            [Commodity(s, t, demand_bits=d) for s, t, d in bad],
-            "mr",
-            gs_relay=gs_relay,
-        )
+        first = mr_commodities[0]
+        bad = [Commodity(first.source, first.sink, total + 1)] + mr_commodities[1:]
+        bad_lp, _ = build_lp(graph, bad, "mr", gs_relay=gs_relay)
         assert solve(bad_lp).status is scipy_solve(bad_lp)[0] is LpStatus.INFEASIBLE
 
 
@@ -206,13 +200,13 @@ def test_constraint_suite():
     while runs < 1000:
         graph, pairs = random_instance(rng, max_paths=None)
         total = sum(link.pool_bits for link in graph.links) + 1
-        mmd = route_mmd(graph, pairs, gs_relay=True)
+        mmd = route_mmd(graph, [Commodity(a, b) for a, b in pairs], gs_relay=True)
         assert verify_solution(graph, mmd.commodities, mmd, gs_relay=True).ok
         runs += 1
         if runs >= 1000:
             break
         requests = [
-            (c.source, c.sink, int(d)) for c, d in zip(mmd.commodities, mmd.demands)
+            Commodity(c.source, c.sink, int(d)) for c, d in zip(mmd.commodities, mmd.demands)
         ]
         mr = route_mr(graph, requests, gs_relay=True)
         assert mr.status is LpStatus.OPTIMAL
@@ -221,7 +215,7 @@ def test_constraint_suite():
         if runs >= 1000:
             break
         dijkstra = route_sequential_dijkstra(
-            graph, [(a, b, total) for a, b in pairs], gs_relay=True
+            graph, [Commodity(a, b, total) for a, b in pairs], gs_relay=True
         )
         assert verify_solution(graph, dijkstra.commodities, dijkstra, gs_relay=True).ok
         runs += 1
@@ -254,7 +248,7 @@ def test_tight_requests():
         for gs_relay in (True, False):
             commodities = [Commodity(a, b) for a, b in pairs]
             split = solve_fractional(graph, commodities, "mmd", gs_relay=gs_relay)
-            requests = [(a, b, int(d + 1e-9)) for (a, b), d in zip(pairs, split.demands)]
+            requests = [Commodity(a, b, int(d + 1e-9)) for (a, b), d in zip(pairs, split.demands)]
             mr = route_mr(graph, requests, gs_relay=gs_relay)
             assert mr.status is LpStatus.OPTIMAL
             verdict = verify_solution(graph, mr.commodities, mr, gs_relay=gs_relay)
@@ -267,9 +261,9 @@ def test_tight_requests():
 
 def grouping_run(graph, pairs):
     """Max-min demand for the group, then min-resource at that demand."""
-    mmd = route_mmd(graph, pairs, gs_relay=True)
+    mmd = route_mmd(graph, [Commodity(a, b) for a, b in pairs], gs_relay=True)
     level = int(mmd.min_demand)
-    mr = route_mr(graph, [(a, b, level) for a, b in pairs], gs_relay=True)
+    mr = route_mr(graph, [Commodity(a, b, level) for a, b in pairs], gs_relay=True)
     assert mr.status is LpStatus.OPTIMAL
     return level, mr.total_flow, mr.consumption_rate
 
@@ -282,7 +276,7 @@ def test_consumption_rate_bound(fig3like):
     _, _, rate_far = grouping_run(fig3like, [("A", "D")])
 
     per_pair_ok = True
-    mr = route_mr(fig3like, [(a, b, level) for a, b in all_pairs], gs_relay=True)
+    mr = route_mr(fig3like, [Commodity(a, b, level) for a, b in all_pairs], gs_relay=True)
     for delivered, consumed, _ in mr.pair_totals():
         if delivered > 0:  # no GS pair has a direct link, so >= 2 applies to all
             per_pair_ok = per_pair_ok and consumed >= 2.0 * delivered
@@ -301,9 +295,9 @@ def test_baseline_dominance(fig3like):
     and only the baseline is sensitive to request order."""
     pairs = gs_pairs(fig3like)
     total = sum(link.pool_bits for link in fig3like.links) + 1
-    mmd = route_mmd(fig3like, pairs, gs_relay=True)
+    mmd = route_mmd(fig3like, [Commodity(a, b) for a, b in pairs], gs_relay=True)
     baseline = route_sequential_dijkstra(
-        fig3like, [(a, b, total) for a, b in pairs], gs_relay=True
+        fig3like, [Commodity(a, b, total) for a, b in pairs], gs_relay=True
     )
     ok = mmd.min_demand >= baseline.min_demand
 
@@ -311,22 +305,22 @@ def test_baseline_dominance(fig3like):
     for _ in range(50):
         graph, rnd_pairs = random_instance(rng, max_paths=None)
         rnd_total = sum(link.pool_bits for link in graph.links) + 1
-        rnd_mmd = route_mmd(graph, rnd_pairs, gs_relay=True)
+        rnd_mmd = route_mmd(graph, [Commodity(a, b) for a, b in rnd_pairs], gs_relay=True)
         rnd_baseline = route_sequential_dijkstra(
-            graph, [(a, b, rnd_total) for a, b in rnd_pairs], gs_relay=True
+            graph, [Commodity(a, b, rnd_total) for a, b in rnd_pairs], gs_relay=True
         )
         ok = ok and rnd_mmd.min_demand >= rnd_baseline.min_demand
 
     # the bundled reorder demo: the baseline's per-pair outcome moves,
     # the max-min planner's does not
-    forward = [("A", "D", 2000), ("B", "D", 2000)]
+    forward = [Commodity("A", "D", 2000), Commodity("B", "D", 2000)]
     backward = list(reversed(forward))
     dij_fwd = route_sequential_dijkstra(fig3like, forward, gs_relay=True)
     dij_bwd = route_sequential_dijkstra(fig3like, backward, gs_relay=True)
     by_pair = lambda sol: {c.pair: d for c, d in zip(sol.commodities, sol.demands)}
     dijkstra_moved = by_pair(dij_fwd) != by_pair(dij_bwd)
-    mmd_fwd = route_mmd(fig3like, [("A", "D"), ("B", "D")], gs_relay=True)
-    mmd_bwd = route_mmd(fig3like, [("B", "D"), ("A", "D")], gs_relay=True)
+    mmd_fwd = route_mmd(fig3like, [Commodity("A", "D"), Commodity("B", "D")], gs_relay=True)
+    mmd_bwd = route_mmd(fig3like, [Commodity("B", "D"), Commodity("A", "D")], gs_relay=True)
     mmd_stable = by_pair(mmd_fwd) == by_pair(mmd_bwd)
 
     ok = ok and dijkstra_moved and mmd_stable

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qkdplan import netmodel, router
+from qkdplan import cli, netmodel, router
 from qkdplan.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
@@ -206,10 +206,9 @@ class TestPlanCommand:
         assert captured.err == f"error: solver failed: {error}\n"
 
     def test_verification_failure_exits_4(self, capsys, monkeypatch):
-        def overdrawn(graph, pairs, gs_relay):
-            commodities = tuple(router.Commodity(a, b) for a, b in pairs)
+        def overdrawn(graph, commodities, gs_relay):
             flows = {(0, ("g1", "s1")): 100, (0, ("s1", "g2")): 100}
-            return router.FlowSolution("mmd", LpStatus.OPTIMAL, commodities, flows, (100.0,))
+            return router.FlowSolution("mmd", LpStatus.OPTIMAL, tuple(commodities), flows, (100.0,))
 
         monkeypatch.setattr(router, "route_mmd", overdrawn)
         assert main(["plan", "micro-line", "--objective", "mmd"]) == EXIT_SOLVER_FAILURE
@@ -221,9 +220,8 @@ class TestPlanCommand:
         )
 
     def test_plan_without_demands_exits_4(self, capsys, monkeypatch):
-        def no_demands(graph, pairs, gs_relay):
-            commodities = tuple(router.Commodity(a, b) for a, b in pairs)
-            return router.FlowSolution("mmd", LpStatus.OPTIMAL, commodities, {}, ())
+        def no_demands(graph, commodities, gs_relay):
+            return router.FlowSolution("mmd", LpStatus.OPTIMAL, tuple(commodities), {}, ())
 
         monkeypatch.setattr(router, "route_mmd", no_demands)
         assert main(["plan", "micro-line", "--objective", "mmd"]) == EXIT_SOLVER_FAILURE
@@ -244,8 +242,7 @@ class TestPlanCommand:
         path = tmp_path / "star.json"
         path.write_text(json.dumps(doc))
 
-        def unrounded(graph, pairs, gs_relay):
-            commodities = [router.Commodity(a, b) for a, b in pairs]
+        def unrounded(graph, commodities, gs_relay):
             return router.solve_fractional(graph, commodities, "mmd", gs_relay=gs_relay)
 
         monkeypatch.setattr(router, "route_mmd", unrounded)
@@ -254,6 +251,49 @@ class TestPlanCommand:
         assert captured.out == ""
         assert captured.err == (
             "error: verification failed: the plan has a fractional flow or demand\n"
+        )
+
+    @pytest.mark.parametrize(
+        "objective, planner",
+        [("mmd", "route_mmd"), ("mr", "route_mr"), ("dijkstra", "route_sequential_dijkstra")],
+    )
+    @pytest.mark.parametrize("alter", [lambda c: c[:-1], lambda c: c[::-1]], ids=["drop", "reorder"])
+    def test_plan_of_other_commodities_exits_4(self, capsys, monkeypatch, objective, planner,
+                                               alter):
+        # the plan is valid for what the planner chose to plan, but that is
+        # not what the scenario asked for
+        plan = getattr(router, planner)
+        plans = []
+
+        def unfaithful(graph, commodities, gs_relay):
+            solution = plan(graph, alter(tuple(commodities)), gs_relay=gs_relay)
+            plans.append((graph, gs_relay, solution))
+            return solution
+
+        monkeypatch.setattr(router, planner, unfaithful)
+        assert main(["plan", "fig3like", "--objective", objective]) == EXIT_SOLVER_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: verification failed: the plan's commodities differ from the requested ones"
+        )
+        assert captured.err.count("\n") == 1
+        (graph, gs_relay, solution), = plans
+        assert router.verify_solution(graph, solution.commodities, solution, gs_relay=gs_relay).ok
+
+    def test_bundled_file_that_cannot_be_decoded_exits_1(self, tmp_path, capsys, monkeypatch):
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        (bundle / "x.json").write_text("{")
+        monkeypatch.setattr(cli, "_SCENARIO_DIR", bundle)
+        monkeypatch.chdir(tmp_path)
+        assert bundled_scenarios() == ("x",)
+        assert main(["plan", "x", "--objective", "mmd"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {bundle / 'x.json'}: invalid JSON at line 1: "
+            "Expecting property name enclosed in double quotes\n"
         )
 
     def test_mr_plan_short_of_a_request_exits_4(self, tmp_path, capsys):
@@ -303,8 +343,7 @@ class TestPlanCommand:
         )
         scenario = netmodel.load_scenario(path)
         graph = netmodel.accumulate_pools(scenario.graph, scenario.window_seconds)
-        commodities = [router.Commodity(*request) for request in scenario.requests]
-        program, _ = router.build_lp(graph, commodities, "mr", gs_relay=scenario.gs_relay)
+        program, _ = router.build_lp(graph, scenario.requests, "mr", gs_relay=scenario.gs_relay)
         assert scipy_solve(program)[0] is LpStatus.INFEASIBLE
 
     def test_request_beyond_exact_float_range_exits_1(self, tmp_path, capsys):
@@ -513,6 +552,18 @@ RATE_STDOUT_DIGESTS = {
 class TestOutputContract:
     def test_every_bundled_scenario_is_pinned(self):
         assert {name for name, _, _ in STDOUT_DIGESTS} == set(bundled_scenarios())
+
+    @pytest.mark.parametrize(
+        "scenario, objective", [(name, obj) for name, obj, fmt in STDOUT_DIGESTS if fmt == "csv"]
+    )
+    def test_bundled_name_and_its_path_print_the_same(self, capsys, scenario, objective):
+        # the markdown report names its argument, so compare the CSV
+        path = Path(router.__file__).parent / "scenarios" / f"{scenario}.json"
+        reports = []
+        for token in (scenario, str(path)):
+            code = main(["plan", token, "--objective", objective, "--format", "csv"])
+            reports.append((code, capsys.readouterr().out))
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("scenario, objective, fmt", list(STDOUT_DIGESTS))
     def test_stdout_digest(self, capsys, scenario, objective, fmt):

@@ -16,8 +16,9 @@ import json
 import random
 import re
 import warnings
-from importlib import resources
+from pathlib import Path
 
+import qkdplan
 from qkdplan.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -71,8 +72,8 @@ def mutate(rng: random.Random, doc: dict) -> dict:
 
 def test_mutated_scenarios_exit_with_one_line(tmp_path):
     rng = random.Random(21)
-    base = resources.files("qkdplan").joinpath("scenarios")
-    docs = [json.loads(base.joinpath(f"{name}.json").read_text()) for name in bundled_scenarios()]
+    base = Path(qkdplan.__file__).parent / "scenarios"
+    docs = [json.loads((base / f"{name}.json").read_text()) for name in bundled_scenarios()]
     path = tmp_path / "mutant.json"
     codes = dict.fromkeys(range(5), 0)
     for _ in range(DOCUMENTS):

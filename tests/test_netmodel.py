@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qkdplan.linkbudget import link_performance, preset_link
 from qkdplan.netmodel import (
+    Commodity,
     Link,
     Node,
     NodeKind,
@@ -267,7 +268,7 @@ class TestScenarioLoading:
         scenario = load_scenario(SCENARIO)
         assert scenario.window_seconds == 60
         assert scenario.gs_relay is False
-        assert scenario.requests[0].demand_bits == 100
+        assert scenario.requests == (Commodity("g1", "g2", 100),)
         assert link_of(scenario.graph, "g1", "s1").rate_bps == 10
 
     def test_file_round_trip(self, tmp_path):

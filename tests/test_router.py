@@ -43,6 +43,11 @@ def fig3like():
     return accumulate_pools(scenario.graph, scenario.window_seconds)
 
 
+def all_pairs(graph):
+    """One commodity without a demand per ground-station pair, as ``mmd`` plans."""
+    return [Commodity(a, b) for a, b in gs_pairs(graph)]
+
+
 def line_pools(pool_a=10, pool_b=6):
     return build_graph(
         {"g1": "gs", "s1": "leo", "g2": "gs"},
@@ -344,13 +349,13 @@ class TestGreedyRound:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(router, "_min_hop_path", counting)
-        route_mmd(fig3like, gs_pairs(fig3like), gs_relay=True)
+        route_mmd(fig3like, all_pairs(fig3like), gs_relay=True)
         assert len(calls) < 200
 
 
 class TestRouteMmd:
     def test_fig3like_all_pairs_floor(self, fig3like):
-        solution = route_mmd(fig3like, gs_pairs(fig3like), gs_relay=True)
+        solution = route_mmd(fig3like, all_pairs(fig3like), gs_relay=True)
         assert solution.status is LpStatus.OPTIMAL
         assert solution.min_demand == 600.0
         # the cut bound certifies 600 is optimal, not just achieved
@@ -359,7 +364,7 @@ class TestRouteMmd:
 
     def test_fig3like_near_triple(self, fig3like):
         pairs = [("A", "B"), ("A", "C"), ("B", "C")]
-        solution = route_mmd(fig3like, pairs, gs_relay=True)
+        solution = route_mmd(fig3like, [Commodity(a, b) for a, b in pairs], gs_relay=True)
         assert solution.min_demand == 30300.0
         assert mmd_cut_bound(fig3like, pairs) == pytest.approx(30300.0)
 
@@ -368,22 +373,22 @@ class TestRouteMmd:
             {"g1": "gs", "s1": "leo", "g2": "gs", "s2": "leo"},
             [("g1", "s1", 50), ("g2", "s2", 50)],
         )
-        solution = route_mmd(graph, [("g1", "g2")], gs_relay=True)
+        solution = route_mmd(graph, [Commodity("g1", "g2")], gs_relay=True)
         assert solution.demands == (0.0,)
         assert solution.status is LpStatus.OPTIMAL
 
     def test_default_pairs_cover_all_stations(self, fig3like):
-        solution = route_mmd(fig3like, gs_pairs(fig3like), gs_relay=True)
+        solution = route_mmd(fig3like, all_pairs(fig3like), gs_relay=True)
         assert len(solution.commodities) == 10
 
     def test_rounded_solution_is_integral(self, fig3like):
-        solution = route_mmd(fig3like, gs_pairs(fig3like), gs_relay=True)
+        solution = route_mmd(fig3like, all_pairs(fig3like), gs_relay=True)
         assert solution.integral
 
 
 class TestRouteMr:
     def test_fig3like_uniform_requests(self, fig3like):
-        requests = [(a, b, 600) for a, b in gs_pairs(fig3like)]
+        requests = [Commodity(a, b, 600) for a, b in gs_pairs(fig3like)]
         solution = route_mr(fig3like, requests, gs_relay=True)
         assert solution.status is LpStatus.OPTIMAL
         assert solution.demands == tuple(600.0 for _ in requests)
@@ -392,13 +397,13 @@ class TestRouteMr:
         assert verify_solution(fig3like, solution.commodities, solution, gs_relay=True).ok
 
     def test_zero_demand_is_free(self):
-        solution = route_mr(line_pools(), [("g1", "g2", 0)], gs_relay=True)
+        solution = route_mr(line_pools(), [Commodity("g1", "g2", 0)], gs_relay=True)
         assert solution.status is LpStatus.OPTIMAL
         assert solution.total_flow == 0
         assert solution.consumption_rate == 0.0
 
     def test_overdemand_is_infeasible(self):
-        solution = route_mr(line_pools(10, 6), [("g1", "g2", 7)], gs_relay=True)
+        solution = route_mr(line_pools(10, 6), [Commodity("g1", "g2", 7)], gs_relay=True)
         assert solution.status is LpStatus.INFEASIBLE
         assert solution.flows == {}
 
@@ -422,22 +427,23 @@ class TestSequentialDijkstra:
             ],
         )
         solution = route_sequential_dijkstra(
-            graph, [("x", "y", 10**6), ("z", "y", 10**6)], gs_relay=True
+            graph, [Commodity("x", "y", 10**6), Commodity("z", "y", 10**6)], gs_relay=True
         )
         assert solution.demands == (2400.0, 0.0)
 
     def test_single_request_takes_bottleneck(self):
         graph = line_pools(10, 6)
-        assert route_sequential_dijkstra(graph, [("g1", "g2", 4)], gs_relay=True).demands == (4.0,)
-        capped = route_sequential_dijkstra(graph, [("g1", "g2", 100)], gs_relay=True)
+        served = route_sequential_dijkstra(graph, [Commodity("g1", "g2", 4)], gs_relay=True)
+        assert served.demands == (4.0,)
+        capped = route_sequential_dijkstra(graph, [Commodity("g1", "g2", 100)], gs_relay=True)
         assert capped.demands == (6.0,)
 
     def test_order_swap_swaps_outcomes(self, fig3like):
         forward = route_sequential_dijkstra(
-            fig3like, [("A", "D", 2000), ("B", "D", 2000)], gs_relay=True
+            fig3like, [Commodity("A", "D", 2000), Commodity("B", "D", 2000)], gs_relay=True
         )
         backward = route_sequential_dijkstra(
-            fig3like, [("B", "D", 2000), ("A", "D", 2000)], gs_relay=True
+            fig3like, [Commodity("B", "D", 2000), Commodity("A", "D", 2000)], gs_relay=True
         )
         by_pair_fwd = dict(zip((c.pair for c in forward.commodities), forward.demands))
         by_pair_bwd = dict(zip((c.pair for c in backward.commodities), backward.demands))
@@ -446,11 +452,13 @@ class TestSequentialDijkstra:
         assert by_pair_fwd != by_pair_bwd
 
     def test_splits_across_paths_after_saturation(self):
-        solution = route_sequential_dijkstra(diamond_pools(3), [("a", "b", 6)], gs_relay=True)
+        solution = route_sequential_dijkstra(
+            diamond_pools(3), [Commodity("a", "b", 6)], gs_relay=True
+        )
         assert solution.demands == (6.0,)
 
     def test_solution_verifies(self, fig3like):
-        requests = [(a, b, 600) for a, b in gs_pairs(fig3like)]
+        requests = [Commodity(a, b, 600) for a, b in gs_pairs(fig3like)]
         solution = route_sequential_dijkstra(fig3like, requests, gs_relay=True)
         assert verify_solution(fig3like, solution.commodities, solution, gs_relay=True).ok
 
@@ -461,8 +469,10 @@ class TestSequentialDijkstra:
         for case in range(60):
             graph, pairs = random_instance(rng, max_commodities=6, max_paths=None)
             graph = scaled_pools(graph, scale)
-            requests = [(a, b, rng.randint(0, 8 * scale)) for a, b in pairs]
-            requests += [(b, a, rng.randint(0, 8 * scale)) for a, b in pairs if rng.random() < 0.3]
+            requests = [Commodity(a, b, rng.randint(0, 8 * scale)) for a, b in pairs]
+            requests += [
+                Commodity(b, a, rng.randint(0, 8 * scale)) for a, b in pairs if rng.random() < 0.3
+            ]
             rng.shuffle(requests)
             solution = route_sequential_dijkstra(graph, requests, gs_relay=gs_relay)
             reference = sequential_dijkstra_push(graph, requests, gs_relay)
@@ -477,28 +487,38 @@ class TestFixedDemands:
         with pytest.raises(ValueError, match="integer"):
             Commodity("g1", "g2", demand_bits=demand)
 
+    @pytest.mark.parametrize(
+        "plan, name",
+        [(route_mr, "min-resource"), (route_sequential_dijkstra, "the sequential baseline")],
+    )
+    def test_fixed_demand_planners_refuse_a_variable_demand(self, plan, name):
+        # uncapped, the baseline used to fill the pools: a 6-bit plan here
+        with pytest.raises(ValueError, match=f"^{name} needs a fixed demand on every commodity$"):
+            plan(line_pools(), [Commodity("g1", "g2")], gs_relay=True)
+
     @pytest.mark.parametrize("demand", [5.7, True])
     @pytest.mark.parametrize("plan", [route_mr, route_sequential_dijkstra])
     def test_planners_do_not_truncate_a_demand(self, plan, demand):
+        # a planner's requests are commodities, which refuse such a demand
         with pytest.raises(ValueError, match="integer"):
-            plan(line_pools(), [("g1", "g2", demand)], gs_relay=True)
+            plan(line_pools(), [Commodity("g1", "g2", demand)], gs_relay=True)
 
 
 class TestGsRelayFlag:
     def test_lp_honors_gs_transit_ban(self, relay_graph):
-        with_relay = route_mmd(relay_graph, [("a", "b")], gs_relay=True)
+        with_relay = route_mmd(relay_graph, [Commodity("a", "b")], gs_relay=True)
         assert with_relay.min_demand == 10.0
-        banned = route_mmd(relay_graph, [("a", "b")], gs_relay=False)
+        banned = route_mmd(relay_graph, [Commodity("a", "b")], gs_relay=False)
         assert banned.min_demand == 0.0
 
     def test_dijkstra_honors_gs_transit_ban(self, relay_graph):
-        with_relay = route_sequential_dijkstra(relay_graph, [("a", "b", 5)], gs_relay=True)
+        with_relay = route_sequential_dijkstra(relay_graph, [Commodity("a", "b", 5)], gs_relay=True)
         assert with_relay.demands == (5.0,)
-        banned = route_sequential_dijkstra(relay_graph, [("a", "b", 5)], gs_relay=False)
+        banned = route_sequential_dijkstra(relay_graph, [Commodity("a", "b", 5)], gs_relay=False)
         assert banned.demands == (0.0,)
 
     def test_endpoints_still_usable_when_banned(self, relay_graph):
-        solution = route_mmd(relay_graph, [("a", "c")], gs_relay=False)
+        solution = route_mmd(relay_graph, [Commodity("a", "c")], gs_relay=False)
         assert solution.min_demand == 10.0
 
     @pytest.mark.parametrize(
@@ -506,9 +526,9 @@ class TestGsRelayFlag:
         [
             lambda g: build_lp(g, [Commodity("a", "b")], "mmd"),
             lambda g: solve_fractional(g, [Commodity("a", "b")], "mmd"),
-            lambda g: route_mmd(g, [("a", "b")]),
-            lambda g: route_mr(g, [("a", "b", 1)]),
-            lambda g: route_sequential_dijkstra(g, [("a", "b", 1)]),
+            lambda g: route_mmd(g, [Commodity("a", "b")]),
+            lambda g: route_mr(g, [Commodity("a", "b", 1)]),
+            lambda g: route_sequential_dijkstra(g, [Commodity("a", "b", 1)]),
         ],
         ids=["build_lp", "solve_fractional", "route_mmd", "route_mr", "route_sequential_dijkstra"],
     )
@@ -517,8 +537,8 @@ class TestGsRelayFlag:
         with pytest.raises(TypeError, match="gs_relay"):
             plan(relay_graph)
 
-    def test_route_mmd_needs_its_pairs(self, relay_graph):
-        with pytest.raises(TypeError, match="pairs"):
+    def test_route_mmd_needs_its_commodities(self, relay_graph):
+        with pytest.raises(TypeError, match="commodities"):
             route_mmd(relay_graph, gs_relay=True)
 
     def test_rounding_needs_the_ban_setting(self, relay_graph):
@@ -528,7 +548,7 @@ class TestGsRelayFlag:
 
     def test_verification_needs_the_ban_setting(self, relay_graph):
         # leaving gs_relay out must not silently skip the transit-ban check
-        through_c = route_mmd(relay_graph, [("a", "b")], gs_relay=True)
+        through_c = route_mmd(relay_graph, [Commodity("a", "b")], gs_relay=True)
         with pytest.raises(TypeError):
             verify_solution(relay_graph, through_c.commodities, through_c)
 
@@ -569,7 +589,7 @@ class TestVerifySolution:
 
     def test_transit_reported_once_per_station(self, relay_graph):
         # the path a-s1-c-s2-b has two flows touching c: one violation
-        through_c = route_mmd(relay_graph, [("a", "b")], gs_relay=True)
+        through_c = route_mmd(relay_graph, [Commodity("a", "b")], gs_relay=True)
         report = verify_solution(relay_graph, through_c.commodities, through_c, gs_relay=False)
         assert report.violations == ("commodity 0 (a->b) transits ground station c",)
 
@@ -581,7 +601,7 @@ class TestVerifySolution:
             {n: "gs" if n[0] == "g" else "leo" for n in ring},
             [(a, b, 1) for a, b in zip(ring, ring[1:] + ring[:1])],
         )
-        short = route_mr(graph, [("g1", "g3", 1), ("g2", "g4", 1)], gs_relay=True)
+        short = route_mr(graph, [Commodity("g1", "g3", 1), Commodity("g2", "g4", 1)], gs_relay=True)
         assert short.demands == (1.0, 0.0)
         report = verify_solution(graph, short.commodities, short, gs_relay=True)
         assert report.violations == ("commodity 1 (g2->g4) delivers 0 < requested 1",)
@@ -589,16 +609,26 @@ class TestVerifySolution:
     def test_mr_delivery_below_an_inexact_request_detected(self):
         # 2**60 + 1 has no float: the LP plans 2**60, one bit short
         graph = line_pools(2**61, 2**61)
-        short = route_mr(graph, [("g1", "g2", 2**60 + 1)], gs_relay=True)
+        short = route_mr(graph, [Commodity("g1", "g2", 2**60 + 1)], gs_relay=True)
         assert short.demands == (2.0**60,)
         report = verify_solution(graph, short.commodities, short, gs_relay=True)
         assert report.violations == (
             "commodity 0 (g1->g2) delivers 1152921504606846976 < requested 1152921504606846977",
         )
 
+    def test_plan_of_other_commodities_detected(self):
+        # a valid 3-bit plan for g1->g2, checked against a request for 5
+        graph = line_pools(10, 10)
+        solution = route_sequential_dijkstra(graph, [Commodity("g1", "g2", 3)], gs_relay=True)
+        assert verify_solution(graph, solution.commodities, solution, gs_relay=True).ok
+        report = verify_solution(graph, [Commodity("g1", "g2", 5)], solution, gs_relay=True)
+        assert report.violations == ("the plan's commodities differ from the requested ones",)
+
     def test_dijkstra_may_deliver_below_request(self):
         # the baseline serves what the pools allow; a shortfall is its outcome
-        solution = route_sequential_dijkstra(line_pools(10, 6), [("g1", "g2", 9)], gs_relay=True)
+        solution = route_sequential_dijkstra(
+            line_pools(10, 6), [Commodity("g1", "g2", 9)], gs_relay=True
+        )
         assert solution.demands == (6.0,)
         assert verify_solution(line_pools(10, 6), solution.commodities, solution, gs_relay=True).ok
 
@@ -615,7 +645,7 @@ class TestVerifySolution:
         report = verify_solution(graph, commodities, bogus, gs_relay=True)
         assert not report.ok
         assert any("delivers 4 > requested 3" in v for v in report.violations)
-        exact = route_mr(graph, [("g1", "g2", 3)], gs_relay=True)
+        exact = route_mr(graph, [Commodity("g1", "g2", 3)], gs_relay=True)
         assert verify_solution(graph, commodities, exact, gs_relay=True).ok
 
     def test_integral_plans_are_checked_exactly(self):
@@ -657,7 +687,7 @@ class TestVerifySolution:
         assert verify_solution(graph, fractional.commodities, fractional, gs_relay=True).ok
 
     def test_tampered_conservation_detected(self, fig3like):
-        solution = route_mmd(fig3like, [("A", "B")], gs_relay=True)
+        solution = route_mmd(fig3like, [Commodity("A", "B")], gs_relay=True)
         flows = dict(solution.flows)
         flows[(0, ("leo1", "B"))] = flows.get((0, ("leo1", "B")), 0) + 1
         tampered = FlowSolution(
@@ -787,7 +817,8 @@ class TestDerivedValues:
         assert dataclasses.replace(solution, status=LpStatus.INFEASIBLE).objective is None
 
     def test_replaced_flows_and_demands_update_every_total(self):
-        plan = route_mr(line_pools(10, 10), [("g1", "g2", 3), ("g1", "g2", 0)], gs_relay=True)
+        requests = [Commodity("g1", "g2", 3), Commodity("g1", "g2", 0)]
+        plan = route_mr(line_pools(10, 10), requests, gs_relay=True)
         assert plan.objective == 6.0
         assert plan.pair_totals() == ((3.0, 6, 2.0), (0.0, 0, 0.0))
         doubled = {key: 2 * value for key, value in plan.flows.items()}
@@ -805,9 +836,9 @@ class TestDerivedValues:
 class TestCsvRoundTrip:
     @pytest.mark.parametrize("objective", ["mmd", "mr", "dijkstra"])
     def test_round_trip_is_exact(self, fig3like, objective):
-        requests = [(a, b, 600) for a, b in gs_pairs(fig3like)]
+        requests = [Commodity(a, b, 600) for a, b in gs_pairs(fig3like)]
         if objective == "mmd":
-            solution = route_mmd(fig3like, gs_pairs(fig3like), gs_relay=True)
+            solution = route_mmd(fig3like, all_pairs(fig3like), gs_relay=True)
         elif objective == "mr":
             solution = route_mr(fig3like, requests, gs_relay=True)
         else:
@@ -832,7 +863,8 @@ class TestCsvRoundTrip:
 
     def test_duplicate_pair_commodities_round_trip(self):
         graph = line_pools(10, 10)
-        solution = route_mr(graph, [("g1", "g2", 3), ("g1", "g2", 4)], gs_relay=True)
+        requests = [Commodity("g1", "g2", 3), Commodity("g1", "g2", 4)]
+        solution = route_mr(graph, requests, gs_relay=True)
         parsed = solution_from_csv(solution_to_csv(solution))
         assert parsed.demands == solution.demands
         assert parsed.flows == solution.flows
@@ -844,7 +876,8 @@ class TestCsvRoundTrip:
             {"m": "gs", "q": "gs", "a": "leo", "z": "leo"},
             [("m", "a", 5), ("a", "q", 5), ("m", "z", 5), ("z", "q", 5)],
         )
-        solution = route_sequential_dijkstra(graph, [("m", "q", 5), ("m", "q", 5)], gs_relay=True)
+        requests = [Commodity("m", "q", 5), Commodity("m", "q", 5)]
+        solution = route_sequential_dijkstra(graph, requests, gs_relay=True)
         assert solution.flows == {
             (0, ("m", "a")): 5, (0, ("a", "q")): 5,
             (1, ("m", "z")): 5, (1, ("z", "q")): 5,
@@ -854,7 +887,7 @@ class TestCsvRoundTrip:
         assert parsed.demands == solution.demands
 
     def test_rows_that_do_not_add_up_are_rejected(self):
-        text = solution_to_csv(route_mmd(line_pools(), [("g1", "g2")], gs_relay=True))
+        text = solution_to_csv(route_mmd(line_pools(), [Commodity("g1", "g2")], gs_relay=True))
         with pytest.raises(ValueError, match="consumed"):
             solution_from_csv(text.replace("g1->g2,6,12,", "g1->g2,6,5,"))
 
@@ -864,10 +897,12 @@ class TestRandomizedProperties:
         rng = random.Random(2025)
         for case in range(60):
             graph, pairs = random_instance(rng, max_paths=None)
-            mmd = route_mmd(graph, pairs, gs_relay=True)
+            mmd = route_mmd(graph, [Commodity(a, b) for a, b in pairs], gs_relay=True)
             assert verify_solution(graph, mmd.commodities, mmd, gs_relay=True).ok, f"case {case}"
             assert mmd.integral, f"case {case}"
-            requests = [(c.source, c.sink, int(d)) for c, d in zip(mmd.commodities, mmd.demands)]
+            requests = [
+                Commodity(c.source, c.sink, int(d)) for c, d in zip(mmd.commodities, mmd.demands)
+            ]
             mr = route_mr(graph, requests, gs_relay=True)
             assert mr.status is LpStatus.OPTIMAL, f"case {case}"
             assert verify_solution(graph, mr.commodities, mr, gs_relay=True).ok, f"case {case}"
@@ -880,9 +915,9 @@ class TestRandomizedProperties:
         for case in range(50):
             graph, pairs = random_instance(rng, max_paths=None)
             total = sum(link.pool_bits for link in graph.links) + 1
-            mmd = route_mmd(graph, pairs, gs_relay=True)
+            mmd = route_mmd(graph, [Commodity(a, b) for a, b in pairs], gs_relay=True)
             baseline = route_sequential_dijkstra(
-                graph, [(a, b, total) for a, b in pairs], gs_relay=True
+                graph, [Commodity(a, b, total) for a, b in pairs], gs_relay=True
             )
             assert mmd.min_demand >= baseline.min_demand, f"case {case}"
 
@@ -899,7 +934,7 @@ class TestRandomizedProperties:
         rng = random.Random(777)
         for case in range(40):
             graph, pairs = random_instance(rng, max_paths=None)
-            mmd = route_mmd(graph, pairs, gs_relay=True)
+            mmd = route_mmd(graph, [Commodity(a, b) for a, b in pairs], gs_relay=True)
             for delivered, consumed, _ in mmd.pair_totals():
                 if delivered > 0:
                     assert consumed >= 2 * delivered, f"case {case}"
