@@ -102,13 +102,6 @@ def _given(args, model) -> dict:
 
 
 def _cmd_rate(args) -> int:
-    if args.preset not in linkbudget.PRESETS:
-        print(
-            f"error: unknown preset {args.preset!r}; "
-            f"known presets: {', '.join(sorted(linkbudget.PRESETS))}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
     try:
         params = linkbudget.preset_link(args.preset, **_given(args, linkbudget.FsoLinkParams))
         protocol = dataclasses.replace(DEFAULT_PROTOCOL, **_given(args, DecoyProtocolParams))
@@ -261,9 +254,7 @@ def _cmd_plan(args) -> int:
         print(f"error: solver returned {solution.status.value}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 
-    violations = router.verify_solution(
-        graph, commodities, solution, gs_relay=scenario.gs_relay
-    ).violations
+    violations = router.verify_solution(graph, commodities, solution, gs_relay=scenario.gs_relay)
     if not solution.integral:
         violations += ("the plan has a fractional flow or demand",)
     if violations:  # a planner fault

@@ -126,12 +126,18 @@ def diffraction_loss(params: FsoLinkParams) -> float:
 
 
 def total_attenuation(params: FsoLinkParams) -> float:
-    """End-to-end loss factor: diffraction x atmosphere x detector inefficiency."""
-    return (
+    """End-to-end loss factor: diffraction x atmosphere x detector inefficiency.
+
+    Raises OverflowError when the loss is beyond the float range.
+    """
+    loss = (
         diffraction_loss(params)
         * db_to_factor(params.atm_loss_db)
         * (1.0 / params.rx_efficiency)
     )
+    if not math.isfinite(loss):  # a float quotient overflows to inf without raising
+        raise OverflowError(f"total attenuation {loss} is not finite")
+    return loss
 
 
 PRESETS: dict[str, FsoLinkParams] = {
@@ -172,13 +178,13 @@ PRESETS: dict[str, FsoLinkParams] = {
 
 
 def preset_link(name: str, **overrides) -> FsoLinkParams:
-    """A preset's parameters with keyword overrides of any field, ``distance_m`` included."""
-    try:
-        params = PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(PRESETS))
-        raise KeyError(f"unknown link preset {name!r}; known presets: {known}") from None
-    return replace(params, **overrides)
+    """A preset's parameters with keyword overrides of any field, ``distance_m`` included.
+
+    Raises ValueError naming the known presets when ``name`` is not one.
+    """
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known presets: {', '.join(sorted(PRESETS))}")
+    return replace(PRESETS[name], **overrides)
 
 
 @dataclass(frozen=True)

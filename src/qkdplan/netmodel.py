@@ -291,17 +291,18 @@ def _parse_link(entry: dict, where: str) -> Link:
     if "preset" not in entry:
         raise ScenarioError(f"{where}: link needs rate_bps or preset+distance_m")
     preset = entry["preset"]
-    if not (isinstance(preset, str) and preset in linkbudget.PRESETS):
-        raise ScenarioError(
-            f"{where}.preset: unknown preset {preset!r}; known: {sorted(linkbudget.PRESETS)}"
-        )
+    if not isinstance(preset, str):
+        raise ScenarioError(f"{where}.preset: expected a string, got {preset!r}")
     distance = entry.get("distance_m")
     if not (distance is None or (_is_number(distance) and distance > 0)):
         raise ScenarioError(
             f"{where}.distance_m: expected a finite positive number, got {distance!r}"
         )
     overrides = {} if distance is None else {"distance_m": distance}
-    params = linkbudget.preset_link(preset, **overrides)
+    try:
+        params = linkbudget.preset_link(preset, **overrides)
+    except ValueError as exc:  # an unknown preset
+        raise ScenarioError(f"{where}.preset: {exc}") from exc
     try:
         rate = linkbudget.link_performance(params).rate_bps
     except linkbudget.NearFieldError as exc:

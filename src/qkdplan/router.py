@@ -53,7 +53,6 @@ from .netmodel import Commodity, NodeKind, QkdGraph, canonical_pair
 
 __all__ = [
     "FlowSolution",
-    "VerificationReport",
     "gs_pairs",
     "build_lp",
     "solve_fractional",
@@ -547,26 +546,18 @@ def route_sequential_dijkstra(
 
 # --- verification ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def verify_solution(
     graph: QkdGraph,
     commodities: Sequence[Commodity],
     solution: FlowSolution,
     *,
     gs_relay: bool,
-) -> VerificationReport:
+) -> tuple[str, ...]:
     """Independently re-check capacity, nonnegativity, conservation and limits.
 
-    Walks the raw flow map without reusing any LP machinery and reports
-    every violating link or (node, commodity) entry.  With the required
+    Walks the raw flow map without reusing any LP machinery and returns
+    the violation lines, one per violating link or (node, commodity)
+    entry and none when the plan is valid.  With the required
     ``gs_relay=False`` any positive flow touching a ground station other
     than the commodity's endpoints is a violation, reported once per
     commodity and station; a commodity with ``demand_bits`` set may not be
@@ -660,7 +651,7 @@ def verify_solution(
                 f"{demand:.0f} < requested {requested}"
             )
 
-    return VerificationReport(tuple(violations))
+    return tuple(violations)
 
 
 # --- CSV export ------------------------------------------------------

@@ -58,7 +58,9 @@ class TestRateCommand:
 
     def test_unknown_preset_exits_1(self, capsys):
         assert main(["rate", "meo-gs"]) == EXIT_INPUT_ERROR
-        assert "unknown preset" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: unknown preset 'meo-gs'; known presets: geo-gs, leo-gs, leo-leo\n"
+        )
 
     def test_bad_flag_exits_1(self, capsys):
         assert main(["rate", "geo-gs", "--warp", "9"]) == EXIT_INPUT_ERROR
@@ -79,6 +81,8 @@ class TestRateCommand:
             ("--fried-parameter", "inf", EXIT_INPUT_ERROR),
             ("--mu", "1e300", EXIT_MODEL_DOMAIN),
             ("--pointing-db", "1e5", EXIT_MODEL_DOMAIN),
+            ("--pointing-db", "3080", EXIT_MODEL_DOMAIN),
+            ("--rx-efficiency", "1e-320", EXIT_MODEL_DOMAIN),
             ("--distance", "1e300", EXIT_MODEL_DOMAIN),
         ],
     )
@@ -279,7 +283,7 @@ class TestPlanCommand:
         )
         assert captured.err.count("\n") == 1
         (graph, gs_relay, solution), = plans
-        assert router.verify_solution(graph, solution.commodities, solution, gs_relay=gs_relay).ok
+        assert not router.verify_solution(graph, solution.commodities, solution, gs_relay=gs_relay)
 
     def test_bundled_file_that_cannot_be_decoded_exits_1(self, tmp_path, capsys, monkeypatch):
         bundle = tmp_path / "bundle"

@@ -1,4 +1,4 @@
-"""Seeded mutation fuzz of the bundled scenarios through ``cli.main``.
+"""Seeded fuzz of ``cli.main``: mutated scenarios, and extreme ``rate`` overrides.
 
 Each document is a bundled scenario with one to three random edits: a
 value replaced by one of another type, a key or list entry deleted, a
@@ -8,11 +8,15 @@ traceback, and every failure must say so in exactly one ``error:`` or
 ``infeasible:`` line.  Exit 4 is a planner fault, so the only one
 allowed is an ``mr`` plan that falls short of a request, which integral
 rounding cannot always avoid.
+
+Each ``qkdplan rate`` run sets one or two override flags to extreme
+finite values, subnormals and numbers near the float range included.
 """
 import contextlib
 import copy
 import io
 import json
+import math
 import random
 import re
 import warnings
@@ -101,3 +105,35 @@ def test_mutated_scenarios_exit_with_one_line(tmp_path):
             assert SHORT_REQUEST.search(verdicts[0]), context
     # loading rejects most documents; some still plan, and some are infeasible
     assert codes[1] > DOCUMENTS / 2 and codes[0] > 20 and codes[EXIT_INFEASIBLE] > 5, codes
+
+
+RATE_FLAGS = ("--distance", "--mu", "--nu", "--y0", "--q", "--f-ec", "--pulse-rate",
+              "--atm-db", "--pointing-db", "--rx-efficiency", "--fried-parameter")
+EXTREMES = ("1e-320", "1e-300", "1e-12", "0", "-1", "0.5", "1", "3080", "1e12", "1e300",
+            "1.7976931348623157e308")
+RATE_RUNS = 400
+
+
+def test_extreme_rate_overrides_exit_with_one_line():
+    # A finite override either gives a table of finite numbers or is refused
+    # in one line: 1 for an invalid parameter, 3 for a model out of its range.
+    rng = random.Random(24)
+    codes = dict.fromkeys((0, 1, 3), 0)
+    for _ in range(RATE_RUNS):
+        argv = ["rate", rng.choice(("leo-gs", "geo-gs", "leo-leo"))]
+        for flag in rng.sample(RATE_FLAGS, rng.randint(1, 2)):
+            argv += [flag, rng.choice(EXTREMES)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        context = (code, argv, out.getvalue(), err.getvalue())
+        assert code in codes, context
+        codes[code] += 1
+        if code == EXIT_OK:
+            values = re.findall(r"^\| (\w+) \| ([^|]+) \|$", out.getvalue(), re.M)[2:]
+            assert err.getvalue() == "" and len(values) == 9, context
+            assert all(math.isfinite(float(value)) for _, value in values), context
+        else:
+            assert out.getvalue() == "", context
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, context
+    assert min(codes.values()) > 20, codes

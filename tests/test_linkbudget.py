@@ -182,8 +182,9 @@ class TestPresets:
         assert set(PRESETS) == {"leo-gs", "geo-gs", "leo-leo"}
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError) as raised:
             preset_link("meo-gs")
+        assert str(raised.value) == "unknown preset 'meo-gs'; known presets: geo-gs, leo-gs, leo-leo"
 
     def test_distance_and_field_overrides(self):
         params = preset_link("geo-gs", distance_m=36000e3, rx_efficiency=0.5)

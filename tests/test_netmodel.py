@@ -318,7 +318,12 @@ class TestScenarioLoading:
             ),
             (
                 {"links": [{"a": "g1", "b": "s1", "preset": "meo"}]},
-                "links[0].preset",
+                "^links[0].preset: unknown preset 'meo'; known presets: geo-gs, leo-gs, leo-leo$",
+            ),
+            ({"links": [{"a": "g1", "b": "s1", "preset": 5}]}, "^links[0].preset: "),
+            (
+                {"links": [{"a": "g1", "b": "s1", "preset": "meo", "distance_m": -1}]},
+                "^links[0].distance_m: ",
             ),
             (
                 {"links": [{"a": "g1", "b": "g2", "rate_bps": 5}]},

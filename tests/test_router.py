@@ -10,7 +10,6 @@ from qkdplan.lp import LpStatus
 from qkdplan.router import (
     Commodity,
     FlowSolution,
-    VerificationReport,
     build_lp,
     greedy_round,
     gs_pairs,
@@ -278,7 +277,7 @@ class TestGreedyRound:
         rounded = greedy_round(graph, fractional, gs_relay=True)
         assert rounded.demands == (6.0,)
         assert rounded.integral
-        assert verify_solution(graph, commodities, rounded, gs_relay=True).ok
+        assert not verify_solution(graph, commodities, rounded, gs_relay=True)
 
     def test_caps_stop_the_top_up(self):
         graph = diamond_pools(3)
@@ -360,7 +359,7 @@ class TestRouteMmd:
         assert solution.min_demand == 600.0
         # the cut bound certifies 600 is optimal, not just achieved
         assert mmd_cut_bound(fig3like, list(gs_pairs(fig3like))) == pytest.approx(600.0)
-        assert verify_solution(fig3like, solution.commodities, solution, gs_relay=True).ok
+        assert not verify_solution(fig3like, solution.commodities, solution, gs_relay=True)
 
     def test_fig3like_near_triple(self, fig3like):
         pairs = [("A", "B"), ("A", "C"), ("B", "C")]
@@ -394,7 +393,7 @@ class TestRouteMr:
         assert solution.demands == tuple(600.0 for _ in requests)
         assert solution.total_flow == 15600.0  # frozen; must stay >= 2 bits/bit
         assert solution.consumption_rate == pytest.approx(2.6)
-        assert verify_solution(fig3like, solution.commodities, solution, gs_relay=True).ok
+        assert not verify_solution(fig3like, solution.commodities, solution, gs_relay=True)
 
     def test_zero_demand_is_free(self):
         solution = route_mr(line_pools(), [Commodity("g1", "g2", 0)], gs_relay=True)
@@ -460,7 +459,7 @@ class TestSequentialDijkstra:
     def test_solution_verifies(self, fig3like):
         requests = [Commodity(a, b, 600) for a, b in gs_pairs(fig3like)]
         solution = route_sequential_dijkstra(fig3like, requests, gs_relay=True)
-        assert verify_solution(fig3like, solution.commodities, solution, gs_relay=True).ok
+        assert not verify_solution(fig3like, solution.commodities, solution, gs_relay=True)
 
     @pytest.mark.parametrize("gs_relay", [True, False])
     @pytest.mark.parametrize("scale", [1, 7, 50, 300])
@@ -558,7 +557,7 @@ class TestGsRelayFlag:
         assert fractional.demands == (0.0,)
         rounded = greedy_round(relay_graph, fractional, gs_relay=False)
         assert rounded.demands == (0.0,)
-        assert verify_solution(relay_graph, rounded.commodities, rounded, gs_relay=False).ok
+        assert not verify_solution(relay_graph, rounded.commodities, rounded, gs_relay=False)
 
 
 class TestVerifySolution:
@@ -581,17 +580,17 @@ class TestVerifySolution:
             },
             demands=(5.0,),
         )
-        assert verify_solution(graph, commodities, detour, gs_relay=True).ok
-        report = verify_solution(graph, commodities, detour, gs_relay=False)
-        assert not report.ok
-        assert any("transits ground station c" in v for v in report.violations)
-        assert not any("station a" in v or "station b" in v for v in report.violations)
+        assert not verify_solution(graph, commodities, detour, gs_relay=True)
+        violations = verify_solution(graph, commodities, detour, gs_relay=False)
+        assert violations
+        assert any("transits ground station c" in v for v in violations)
+        assert not any("station a" in v or "station b" in v for v in violations)
 
     def test_transit_reported_once_per_station(self, relay_graph):
         # the path a-s1-c-s2-b has two flows touching c: one violation
         through_c = route_mmd(relay_graph, [Commodity("a", "b")], gs_relay=True)
-        report = verify_solution(relay_graph, through_c.commodities, through_c, gs_relay=False)
-        assert report.violations == ("commodity 0 (a->b) transits ground station c",)
+        violations = verify_solution(relay_graph, through_c.commodities, through_c, gs_relay=False)
+        assert violations == ("commodity 0 (a->b) transits ground station c",)
 
     def test_mr_delivery_below_request_detected(self):
         # the LP sends half a bit each way round the ring for both requests;
@@ -603,16 +602,16 @@ class TestVerifySolution:
         )
         short = route_mr(graph, [Commodity("g1", "g3", 1), Commodity("g2", "g4", 1)], gs_relay=True)
         assert short.demands == (1.0, 0.0)
-        report = verify_solution(graph, short.commodities, short, gs_relay=True)
-        assert report.violations == ("commodity 1 (g2->g4) delivers 0 < requested 1",)
+        violations = verify_solution(graph, short.commodities, short, gs_relay=True)
+        assert violations == ("commodity 1 (g2->g4) delivers 0 < requested 1",)
 
     def test_mr_delivery_below_an_inexact_request_detected(self):
         # 2**60 + 1 has no float: the LP plans 2**60, one bit short
         graph = line_pools(2**61, 2**61)
         short = route_mr(graph, [Commodity("g1", "g2", 2**60 + 1)], gs_relay=True)
         assert short.demands == (2.0**60,)
-        report = verify_solution(graph, short.commodities, short, gs_relay=True)
-        assert report.violations == (
+        violations = verify_solution(graph, short.commodities, short, gs_relay=True)
+        assert violations == (
             "commodity 0 (g1->g2) delivers 1152921504606846976 < requested 1152921504606846977",
         )
 
@@ -620,9 +619,9 @@ class TestVerifySolution:
         # a valid 3-bit plan for g1->g2, checked against a request for 5
         graph = line_pools(10, 10)
         solution = route_sequential_dijkstra(graph, [Commodity("g1", "g2", 3)], gs_relay=True)
-        assert verify_solution(graph, solution.commodities, solution, gs_relay=True).ok
-        report = verify_solution(graph, [Commodity("g1", "g2", 5)], solution, gs_relay=True)
-        assert report.violations == ("the plan's commodities differ from the requested ones",)
+        assert not verify_solution(graph, solution.commodities, solution, gs_relay=True)
+        violations = verify_solution(graph, [Commodity("g1", "g2", 5)], solution, gs_relay=True)
+        assert violations == ("the plan's commodities differ from the requested ones",)
 
     def test_dijkstra_may_deliver_below_request(self):
         # the baseline serves what the pools allow; a shortfall is its outcome
@@ -630,7 +629,7 @@ class TestVerifySolution:
             line_pools(10, 6), [Commodity("g1", "g2", 9)], gs_relay=True
         )
         assert solution.demands == (6.0,)
-        assert verify_solution(line_pools(10, 6), solution.commodities, solution, gs_relay=True).ok
+        assert not verify_solution(line_pools(10, 6), solution.commodities, solution, gs_relay=True)
 
     def test_delivery_above_request_detected(self):
         graph = line_pools(10, 6)
@@ -642,11 +641,11 @@ class TestVerifySolution:
             flows={(0, ("g1", "s1")): 4, (0, ("s1", "g2")): 4},
             demands=(4.0,),
         )
-        report = verify_solution(graph, commodities, bogus, gs_relay=True)
-        assert not report.ok
-        assert any("delivers 4 > requested 3" in v for v in report.violations)
+        violations = verify_solution(graph, commodities, bogus, gs_relay=True)
+        assert violations
+        assert any("delivers 4 > requested 3" in v for v in violations)
         exact = route_mr(graph, [Commodity("g1", "g2", 3)], gs_relay=True)
-        assert verify_solution(graph, commodities, exact, gs_relay=True).ok
+        assert not verify_solution(graph, commodities, exact, gs_relay=True)
 
     def test_integral_plans_are_checked_exactly(self):
         # a relative slack of 1e-6 lets 3 bits through on 3,000,000-bit pools
@@ -659,8 +658,8 @@ class TestVerifySolution:
             flows={(0, ("g1", "s1")): 3_000_003, (0, ("s1", "g2")): 3_000_003},
             demands=(3_000_003.0,),
         )
-        report = verify_solution(graph, commodities, over, gs_relay=True)
-        assert report.violations == (
+        violations = verify_solution(graph, commodities, over, gs_relay=True)
+        assert violations == (
             "capacity exceeded on link g1-s1: 3000003.0 used > 3000000 pooled",
             "capacity exceeded on link g2-s1: 3000003.0 used > 3000000 pooled",
             "commodity 0 (g1->g2) delivers 3e+06 > requested 3000000",
@@ -673,9 +672,9 @@ class TestVerifySolution:
             flows={(0, ("g1", "s1")): 2_999_998, (0, ("s1", "g2")): 2_999_996},
             demands=(2_999_998.0,),
         )
-        report = verify_solution(graph, commodities, lossy, gs_relay=True)
-        assert any("conservation violated at node s1" in v for v in report.violations)
-        assert any("conservation violated at node g2" in v for v in report.violations)
+        violations = verify_solution(graph, commodities, lossy, gs_relay=True)
+        assert any("conservation violated at node s1" in v for v in violations)
+        assert any("conservation violated at node g2" in v for v in violations)
         # the slack still holds for a fractional solution
         fractional = FlowSolution(
             kind="mmd",
@@ -684,7 +683,7 @@ class TestVerifySolution:
             flows={(0, ("g1", "s1")): 3_000_000.5, (0, ("s1", "g2")): 3_000_000.5},
             demands=(3_000_000.5,),
         )
-        assert verify_solution(graph, fractional.commodities, fractional, gs_relay=True).ok
+        assert not verify_solution(graph, fractional.commodities, fractional, gs_relay=True)
 
     def test_tampered_conservation_detected(self, fig3like):
         solution = route_mmd(fig3like, [Commodity("A", "B")], gs_relay=True)
@@ -697,9 +696,9 @@ class TestVerifySolution:
             flows=flows,
             demands=solution.demands,
         )
-        report = verify_solution(fig3like, solution.commodities, tampered, gs_relay=True)
-        assert not report.ok
-        assert any("conservation" in v and "leo1" in v for v in report.violations)
+        violations = verify_solution(fig3like, solution.commodities, tampered, gs_relay=True)
+        assert violations
+        assert any("conservation" in v and "leo1" in v for v in violations)
 
     def test_capacity_violation_names_link(self):
         graph = line_pools(10, 6)
@@ -711,9 +710,9 @@ class TestVerifySolution:
             flows={(0, ("g1", "s1")): 7, (0, ("s1", "g2")): 7},
             demands=(7.0,),
         )
-        report = verify_solution(graph, commodities, bogus, gs_relay=True)
-        assert not report.ok
-        assert any("capacity exceeded on link g2-s1" in v for v in report.violations)
+        violations = verify_solution(graph, commodities, bogus, gs_relay=True)
+        assert violations
+        assert any("capacity exceeded on link g2-s1" in v for v in violations)
 
     def test_negative_flow_detected(self):
         graph = line_pools()
@@ -725,8 +724,8 @@ class TestVerifySolution:
             flows={(0, ("g1", "s1")): -1, (0, ("s1", "g2")): -1},
             demands=(-1.0,),
         )
-        report = verify_solution(graph, commodities, bogus, gs_relay=True)
-        assert any("negative flow" in v for v in report.violations)
+        violations = verify_solution(graph, commodities, bogus, gs_relay=True)
+        assert any("negative flow" in v for v in violations)
 
     def test_unknown_edge_detected(self):
         graph = line_pools()
@@ -738,8 +737,8 @@ class TestVerifySolution:
             flows={(0, ("g1", "g2")): 1},
             demands=(0.0,),
         )
-        report = verify_solution(graph, commodities, bogus, gs_relay=True)
-        assert any("nonexistent link" in v for v in report.violations)
+        violations = verify_solution(graph, commodities, bogus, gs_relay=True)
+        assert any("nonexistent link" in v for v in violations)
 
     def test_flow_on_nonexistent_link_counts_for_conservation(self):
         # g1 and g2 are nodes without a link between them: the flow is
@@ -753,8 +752,8 @@ class TestVerifySolution:
             flows={(0, ("g1", "g2")): 1},
             demands=(1.0,),
         )
-        report = verify_solution(graph, commodities, bogus, gs_relay=True)
-        assert report.violations == ("flow on nonexistent link g1-g2 (commodity 0)",)
+        violations = verify_solution(graph, commodities, bogus, gs_relay=True)
+        assert violations == ("flow on nonexistent link g1-g2 (commodity 0)",)
 
     @pytest.mark.parametrize(
         "flows, demands, violation",
@@ -787,8 +786,8 @@ class TestVerifySolution:
         graph = line_pools()
         commodities = (Commodity("g1", "g2"),)
         bogus = FlowSolution("mmd", LpStatus.OPTIMAL, commodities, flows, demands)
-        report = verify_solution(graph, commodities, bogus, gs_relay=True)
-        assert violation in report.violations
+        violations = verify_solution(graph, commodities, bogus, gs_relay=True)
+        assert violation in violations
 
     def test_unknown_commodity_reported_once_per_index(self):
         graph = line_pools()
@@ -800,8 +799,8 @@ class TestVerifySolution:
             flows={(3, ("g1", "s1")): 1, (3, ("s1", "g2")): 1},
             demands=(0.0,),
         )
-        report = verify_solution(graph, commodities, bogus, gs_relay=True)
-        assert report.violations == ("flow references unknown commodity index 3",)
+        violations = verify_solution(graph, commodities, bogus, gs_relay=True)
+        assert violations == ("flow references unknown commodity index 3",)
 
 
 class TestDerivedValues:
@@ -826,11 +825,6 @@ class TestDerivedValues:
         assert more.objective == 12.0
         assert more.pair_totals() == ((6.0, 12, 2.0), (0.0, 0, 0.0))
 
-    def test_report_is_ok_exactly_without_violations(self):
-        assert VerificationReport(()).ok
-        assert not VerificationReport(("x",)).ok
-        with pytest.raises(TypeError):
-            VerificationReport(ok=True, violations=("x",))
 
 
 class TestCsvRoundTrip:
@@ -898,17 +892,17 @@ class TestRandomizedProperties:
         for case in range(60):
             graph, pairs = random_instance(rng, max_paths=None)
             mmd = route_mmd(graph, [Commodity(a, b) for a, b in pairs], gs_relay=True)
-            assert verify_solution(graph, mmd.commodities, mmd, gs_relay=True).ok, f"case {case}"
+            assert not verify_solution(graph, mmd.commodities, mmd, gs_relay=True), f"case {case}"
             assert mmd.integral, f"case {case}"
             requests = [
                 Commodity(c.source, c.sink, int(d)) for c, d in zip(mmd.commodities, mmd.demands)
             ]
             mr = route_mr(graph, requests, gs_relay=True)
             assert mr.status is LpStatus.OPTIMAL, f"case {case}"
-            assert verify_solution(graph, mr.commodities, mr, gs_relay=True).ok, f"case {case}"
+            assert not verify_solution(graph, mr.commodities, mr, gs_relay=True), f"case {case}"
             dijkstra = route_sequential_dijkstra(graph, requests, gs_relay=True)
-            report = verify_solution(graph, dijkstra.commodities, dijkstra, gs_relay=True)
-            assert report.ok, f"case {case}"
+            violations = verify_solution(graph, dijkstra.commodities, dijkstra, gs_relay=True)
+            assert not violations, f"case {case}"
 
     def test_mmd_dominates_sequential_baseline(self):
         rng = random.Random(31415)
