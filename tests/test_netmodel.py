@@ -318,12 +318,7 @@ class TestScenarioLoading:
             ),
             (
                 {"links": [{"a": "g1", "b": "s1", "preset": "meo"}]},
-                "^links[0].preset: unknown preset 'meo'; known presets: geo-gs, leo-gs, leo-leo$",
-            ),
-            ({"links": [{"a": "g1", "b": "s1", "preset": 5}]}, "^links[0].preset: "),
-            (
-                {"links": [{"a": "g1", "b": "s1", "preset": "meo", "distance_m": -1}]},
-                "^links[0].distance_m: ",
+                "links[0].preset",
             ),
             (
                 {"links": [{"a": "g1", "b": "g2", "rate_bps": 5}]},
@@ -366,6 +361,15 @@ class TestScenarioLoading:
             (
                 {"links": [{"a": "g2", "b": "g1", "rate_bps": 5}]},
                 "links[0]: ground stations 'g1' and 'g2' cannot share a direct link",
+            ),
+            (
+                {"links": [{"a": "g1", "b": "s1", "preset": "meo"}]},
+                "^links[0].preset: unknown preset 'meo'; known presets: geo-gs, leo-gs, leo-leo$",
+            ),
+            ({"links": [{"a": "g1", "b": "s1", "preset": 5}]}, "^links[0].preset: "),
+            (
+                {"links": [{"a": "g1", "b": "s1", "preset": "meo", "distance_m": -1}]},
+                "^links[0].distance_m: ",
             ),
         ],
     )
