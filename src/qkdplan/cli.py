@@ -28,7 +28,7 @@ import functools
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import linkbudget, netmodel, router
 from .decoy import DEFAULT_PROTOCOL, DecoyProtocolParams
@@ -43,6 +43,17 @@ EXIT_MODEL_DOMAIN = 3
 EXIT_SOLVER_FAILURE = 4
 
 
+def _error(code: int, message: object) -> int:
+    """Write the one-line ``error: <message>`` to stderr and return ``code``."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _table(columns: Sequence[str], rows: Iterable[str]) -> str:
+    """A markdown table: the header, its ``| --- |`` rule, then one line per row."""
+    return "\n".join((f"| {' | '.join(columns)} |", "|" + " --- |" * len(columns), *rows))
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 by default, which this tool reserves for
     # infeasible plans; usage problems are input errors.
@@ -52,9 +63,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class SystemExit2(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
+    """A usage error; its message is argparse's."""
 
 
 @functools.cache  # argparse builds a help formatter per flag; build once per process
@@ -107,31 +116,24 @@ def _cmd_rate(args) -> int:
         protocol = dataclasses.replace(DEFAULT_PROTOCOL, **_given(args, DecoyProtocolParams))
         perf = linkbudget.link_performance(params, protocol)
     except linkbudget.NearFieldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL_DOMAIN
+        return _error(EXIT_MODEL_DOMAIN, exc)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _error(EXIT_INPUT_ERROR, exc)
     except ArithmeticError as exc:
-        print(f"error: rate model out of numeric range: {exc}", file=sys.stderr)
-        return EXIT_MODEL_DOMAIN
+        return _error(EXIT_MODEL_DOMAIN, f"rate model out of numeric range: {exc}")
 
-    rows = [
-        ("preset", args.preset),
-        ("wavelength_nm", f"{params.wavelength_m * 1e9:g}"),
-        ("distance_km", f"{params.distance_m / 1e3:g}"),
-        ("total_attenuation_db", f"{perf.attenuation_db:.2f}"),
-        ("transmittance", f"{perf.transmittance:.4e}"),
-        ("gain_signal_q_mu", f"{perf.q_mu:.4e}"),
-        ("qber_signal_e_mu_percent", f"{perf.e_mu * 100:.4g}"),
-        ("gain_decoy_q_nu", f"{perf.q_nu:.4e}"),
-        ("qber_decoy_e_nu_percent", f"{perf.e_nu * 100:.4g}"),
-        ("secret_key_rate_bps", f"{perf.rate_bps:.4g}"),
-    ]
-    print("| quantity | value |")
-    print("| --- | --- |")
-    for name, value in rows:
-        print(f"| {name} | {value} |")
+    print(_table(("quantity", "value"), (
+        f"| preset | {args.preset} |",
+        f"| wavelength_nm | {params.wavelength_m * 1e9:g} |",
+        f"| distance_km | {params.distance_m / 1e3:g} |",
+        f"| total_attenuation_db | {perf.attenuation_db:.2f} |",
+        f"| transmittance | {perf.transmittance:.4e} |",
+        f"| gain_signal_q_mu | {perf.q_mu:.4e} |",
+        f"| qber_signal_e_mu_percent | {perf.e_mu * 100:.4g} |",
+        f"| gain_decoy_q_nu | {perf.q_nu:.4e} |",
+        f"| qber_decoy_e_nu_percent | {perf.e_nu * 100:.4g} |",
+        f"| secret_key_rate_bps | {perf.rate_bps:.4g} |",
+    )))
     return EXIT_OK
 
 
@@ -173,7 +175,21 @@ def build_markdown(
     graph: netmodel.QkdGraph,
     solution: router.FlowSolution,
 ) -> str:
-    lines = [
+    consumed_by_link = dict.fromkeys((link.endpoints for link in graph.links), 0.0)
+    for (_, (a, b)), value in solution.flows.items():
+        consumed_by_link[netmodel.canonical_pair(a, b)] += value
+    # QkdGraph refuses a second link between two nodes, so the values follow graph.links
+    link_rows = [
+        f"| {link.a}-{link.b} | {link.rate_bps:g} | {link.pool_bits} "
+        f"| {used:g} | {link.pool_bits - used:g} |"
+        for link, used in zip(graph.links, consumed_by_link.values())
+    ]
+    pair_rows = [
+        f"| {commodity.source}->{commodity.sink} | {delivered:g} | {consumed:g} | {rate:.4g} |"
+        for commodity, (delivered, consumed, rate)
+        in zip(solution.commodities, solution.pair_totals())
+    ]
+    return "\n".join((
         "# qkdplan plan report",
         "",
         f"- scenario: {scenario_name}",
@@ -184,43 +200,21 @@ def build_markdown(
         "",
         "## Links",
         "",
-        "| link | rate_bps | pool_bits | consumed_bits | remaining_bits |",
-        "| --- | --- | --- | --- | --- |",
-    ]
-    consumed_by_link: dict[tuple[str, str], float] = {
-        link.endpoints: 0.0 for link in graph.links
-    }
-    for (_, (a, b)), value in solution.flows.items():
-        consumed_by_link[netmodel.canonical_pair(a, b)] += value
-    for link in graph.links:
-        used = consumed_by_link[link.endpoints]
-        lines.append(
-            f"| {link.a}-{link.b} | {link.rate_bps:g} | {link.pool_bits} "
-            f"| {used:g} | {link.pool_bits - used:g} |"
-        )
-    lines += [
+        _table(("link", "rate_bps", "pool_bits", "consumed_bits", "remaining_bits"), link_rows),
         "",
         "## Pairs",
         "",
-        "| pair | fulfilled_bits | consumed_bits | consumption_rate |",
-        "| --- | --- | --- | --- |",
-    ]
-    for commodity, (delivered, consumed, rate) in zip(solution.commodities, solution.pair_totals()):
-        lines.append(
-            f"| {commodity.source}->{commodity.sink} | {delivered:g} "
-            f"| {consumed:g} | {rate:.4g} |"
-        )
-    lines += [
+        _table(("pair", "fulfilled_bits", "consumed_bits", "consumption_rate"), pair_rows),
         "",
         "## Totals",
         "",
-        "| delivered_bits | consumed_bits | consumption_rate | min_fulfilled_bits |",
-        "| --- | --- | --- | --- |",
-        f"| {solution.total_demand:g} | {solution.total_flow:g} "
-        f"| {solution.consumption_rate:.4g} | {solution.min_demand:g} |",
+        _table(
+            ("delivered_bits", "consumed_bits", "consumption_rate", "min_fulfilled_bits"),
+            (f"| {solution.total_demand:g} | {solution.total_flow:g} "
+             f"| {solution.consumption_rate:.4g} | {solution.min_demand:g} |",),
+        ),
         "",
-    ]
-    return "\n".join(lines)
+    ))
 
 
 def _cmd_plan(args) -> int:
@@ -229,8 +223,7 @@ def _cmd_plan(args) -> int:
         scenario = _resolve_scenario(args.scenario)
         graph = netmodel.accumulate_pools(scenario.graph, scenario.window_seconds)
     except ValueError as exc:  # ScenarioError, or a pool that is not finite
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _error(EXIT_INPUT_ERROR, exc)
 
     commodities = _commodities(scenario, args.objective)
     planner = {
@@ -241,8 +234,7 @@ def _cmd_plan(args) -> int:
     try:
         solution = planner(graph, commodities, gs_relay=scenario.gs_relay)
     except (RuntimeError, ArithmeticError) as exc:
-        print(f"error: solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+        return _error(EXIT_SOLVER_FAILURE, f"solver failed: {exc}")
 
     if solution.status is LpStatus.INFEASIBLE:
         print(
@@ -251,16 +243,14 @@ def _cmd_plan(args) -> int:
         )
         return EXIT_INFEASIBLE
     if solution.status is not LpStatus.OPTIMAL:  # pragma: no cover - defensive
-        print(f"error: solver returned {solution.status.value}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+        return _error(EXIT_SOLVER_FAILURE, f"solver returned {solution.status.value}")
 
     violations = router.verify_solution(graph, commodities, solution, gs_relay=scenario.gs_relay)
     if not solution.integral:
         violations += ("the plan has a fractional flow or demand",)
     if violations:  # a planner fault
         more = f" (+{len(violations) - 1} more)" if len(violations) > 1 else ""
-        print(f"error: verification failed: {violations[0]}{more}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+        return _error(EXIT_SOLVER_FAILURE, f"verification failed: {violations[0]}{more}")
 
     wall_seconds = time.perf_counter() - started
     if args.format == "md":
@@ -271,8 +261,7 @@ def _cmd_plan(args) -> int:
         try:
             args.out.write_text(text)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            return _error(EXIT_INPUT_ERROR, f"cannot write {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
     print(f"wall-clock: {wall_seconds:.3f} s", file=sys.stderr)
@@ -284,8 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit2 as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _error(EXIT_INPUT_ERROR, exc)
     if args.command == "rate":
         return _cmd_rate(args)
     return _cmd_plan(args)

@@ -143,7 +143,9 @@ def single_photon_bounds(
     Returns the standard vacuum-plus-weak-decoy estimates: a lower bound on
     Y1 (and hence on Q1 = mu e^-mu Y1) and an upper bound on e1, clamped to
     [0, 1/2].  Raises :class:`BoundCollapseError` when the Y1 bound is not
-    positive, i.e. the observables admit no provable single-photon signal.
+    positive, i.e. the observables admit no provable single-photon signal,
+    and OverflowError when it is not finite, as for a subnormal ``nu``
+    whose ``mu * nu - nu * nu`` bracket divides to ``inf`` or NaN.
     """
     mu, nu, y0 = params.mu, params.nu, params.y0
     y1_lower = (mu / (mu * nu - nu * nu)) * (
@@ -156,6 +158,8 @@ def single_photon_bounds(
             f"single-photon yield bound collapsed (Y1_L = {y1_lower:.3e}); "
             "channel too noisy for a provable key"
         )
+    if not math.isfinite(y1_lower):  # min() below would turn inf into 1
+        raise OverflowError(f"single-photon yield bound {y1_lower} is not finite")
     y1_lower = min(y1_lower, 1.0)
     q1_lower = mu * math.exp(-mu) * y1_lower
     e1_upper = (obs.e_nu * obs.q_nu * math.exp(nu) - params.e0 * y0) / (y1_lower * nu)

@@ -128,13 +128,18 @@ def diffraction_loss(params: FsoLinkParams) -> float:
 def total_attenuation(params: FsoLinkParams) -> float:
     """End-to-end loss factor: diffraction x atmosphere x detector inefficiency.
 
-    Raises OverflowError when the loss is beyond the float range.
+    Raises OverflowError naming the loss (``total attenuation inf is not
+    finite``) when it is beyond the float range, and NearFieldError inside
+    the far-field threshold.
     """
-    loss = (
-        diffraction_loss(params)
-        * db_to_factor(params.atm_loss_db)
-        * (1.0 / params.rx_efficiency)
-    )
+    try:
+        loss = (
+            diffraction_loss(params)
+            * db_to_factor(params.atm_loss_db)
+            * (1.0 / params.rx_efficiency)
+        )
+    except OverflowError:  # a float ** raises where a product would give inf
+        loss = math.inf
     if not math.isfinite(loss):  # a float quotient overflows to inf without raising
         raise OverflowError(f"total attenuation {loss} is not finite")
     return loss

@@ -96,6 +96,24 @@ class TestRateCommand:
         if code == EXIT_INPUT_ERROR:
             assert "must be finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            # a subnormal decoy divides the Y1 bound to inf (no background) or NaN
+            (["leo-leo", "--y0", "0", "--nu", "1e-310"], "single-photon yield bound inf"),
+            (["leo-gs", "--nu", "1e-310"], "single-photon yield bound nan"),
+            # a float ** that overflows is an infinite loss, as a quotient is
+            (["leo-gs", "--distance", "1e308"], "total attenuation inf"),
+            (["leo-gs", "--fried-parameter", "1e-308"], "total attenuation inf"),
+            (["leo-gs", "--atm-db", "1e12"], "total attenuation inf"),
+        ],
+    )
+    def test_bounds_beyond_float_range_exit_3_naming_the_bound(self, capsys, argv, bound):
+        assert main(["rate", *argv]) == EXIT_MODEL_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: rate model out of numeric range: {bound} is not finite\n"
+
 
 class TestPlanCommand:
     def test_bundled_names_resolve(self):
@@ -397,6 +415,10 @@ class TestPlanCommand:
             ("10", "10", "Infinity", "distance_m"),
             ("10", "10", "true", "distance_m"),
             ("10", "10", "1e300", "links[1]: rate model out of numeric range"),
+            (
+                "10", "10", "1e308",
+                "error: links[1]: rate model out of numeric range: total attenuation inf is not finite\n",
+            ),
         ],
     )
     def test_bad_numbers_exit_1(self, tmp_path, capsys, elapsed, rate, distance, fragment):

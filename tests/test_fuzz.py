@@ -11,6 +11,9 @@ rounding cannot always avoid.
 
 Each ``qkdplan rate`` run sets one or two override flags to extreme
 finite values, subnormals and numbers near the float range included.
+A table's key rate must not exceed the signal detections it is distilled
+from, and a refusal must name its cause: neither an invalid-input line
+that reports ``nan`` nor an errno tuple in place of a message.
 """
 import contextlib
 import copy
@@ -23,6 +26,7 @@ import warnings
 from pathlib import Path
 
 import qkdplan
+from qkdplan.decoy import DEFAULT_PROTOCOL
 from qkdplan.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -112,6 +116,8 @@ RATE_FLAGS = ("--distance", "--mu", "--nu", "--y0", "--q", "--f-ec", "--pulse-ra
 EXTREMES = ("1e-320", "1e-300", "1e-12", "0", "-1", "0.5", "1", "3080", "1e12", "1e300",
             "1.7976931348623157e308")
 RATE_RUNS = 400
+NAN = re.compile(r"\bnan\b")
+ERRNO_TUPLE = re.compile(r"\(\d+, '")
 
 
 def test_extreme_rate_overrides_exit_with_one_line():
@@ -133,7 +139,17 @@ def test_extreme_rate_overrides_exit_with_one_line():
             values = re.findall(r"^\| (\w+) \| ([^|]+) \|$", out.getvalue(), re.M)[2:]
             assert err.getvalue() == "" and len(values) == 9, context
             assert all(math.isfinite(float(value)) for _, value in values), context
+            # no key beyond the signal detections: rate <= q x pulse rate x Q_mu,
+            # with 0.1% for the 4-digit printing
+            flags = dict(zip(argv[2::2], map(float, argv[3::2])))
+            table = {name: float(value) for name, value in values}
+            cap = (flags.get("--q", DEFAULT_PROTOCOL.q)
+                   * flags.get("--pulse-rate", DEFAULT_PROTOCOL.pulse_rate_hz)
+                   * table["gain_signal_q_mu"])
+            assert table["secret_key_rate_bps"] <= cap * 1.001, context
         else:
             assert out.getvalue() == "", context
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, context
+            assert code != 1 or not NAN.search(err.getvalue()), context
+            assert not ERRNO_TUPLE.search(err.getvalue()), context
     assert min(codes.values()) > 20, codes
