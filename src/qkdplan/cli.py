@@ -15,10 +15,10 @@ Exit codes: 0 success, 1 input error (including a report that cannot be
 written, a non-finite ``rate`` number, and a scenario link whose preset
 rate model overflows, named as ``links[i]``), 2 infeasible request set,
 3 model-domain error (e.g. a near-field distance, or ``rate`` numbers
-whose model overflows or divides by zero), 4 solver failure (the simplex
-hit its iteration limit or returned an infeasible point, or the plan is
-not integral or fails verification).  Timing goes to stderr so stdout
-stays byte-identical for identical inputs.
+whose model leaves the float range, named by the quantity), 4 solver
+failure (the simplex hit its iteration limit or returned an infeasible
+point, or the plan is not integral or fails verification).  Timing goes
+to stderr so stdout stays byte-identical for identical inputs.
 """
 from __future__ import annotations
 

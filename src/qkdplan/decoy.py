@@ -120,7 +120,9 @@ def gain_and_qber(
 
     Summing the Poisson-weighted yields gives
     Q = Y0 + (1 - Y0) (1 - exp(-delta * intensity)) and the dark-count
-    error model makes E * Q = e0 * Y0 an exact identity.
+    error model makes E * Q = e0 * Y0 an exact identity.  A zero gain
+    raises DegenerateChannelError for a zero intensity or transmittance,
+    and ArithmeticError for positive ones whose product underflows.
     """
     if intensity < 0.0:
         raise ValueError(f"intensity must be nonnegative, got {intensity}")
@@ -128,6 +130,8 @@ def gain_and_qber(
         raise ValueError(f"transmittance must be in [0, 1], got {delta}")
     y0 = params.y0
     gain = y0 + (1.0 - y0) * -math.expm1(-delta * intensity)
+    if gain == 0.0 and intensity > 0.0 and delta > 0.0:  # their product underflowed
+        raise ArithmeticError(f"gain at intensity {intensity} underflows to 0")
     if gain == 0.0:
         raise DegenerateChannelError(
             "gain is zero (vacuum input and no background); QBER undefined"
@@ -144,15 +148,19 @@ def single_photon_bounds(
     Y1 (and hence on Q1 = mu e^-mu Y1) and an upper bound on e1, clamped to
     [0, 1/2].  Raises :class:`BoundCollapseError` when the Y1 bound is not
     positive, i.e. the observables admit no provable single-photon signal,
-    and OverflowError when it is not finite, as for a subnormal ``nu``
-    whose ``mu * nu - nu * nu`` bracket divides to ``inf`` or NaN.
+    and OverflowError when it is not finite: for a subnormal ``nu``, whose
+    ``mu * nu - nu * nu`` bracket divides to ``inf`` or NaN or underflows
+    to 0, and for a ``mu`` above ~709.78, whose ``exp(mu)`` overflows.
     """
     mu, nu, y0 = params.mu, params.nu, params.y0
-    y1_lower = (mu / (mu * nu - nu * nu)) * (
-        obs.q_nu * math.exp(nu)
-        - obs.q_mu * math.exp(mu) * nu * nu / (mu * mu)
-        - (mu * mu - nu * nu) / (mu * mu) * y0
-    )
+    try:
+        y1_lower = (mu / (mu * nu - nu * nu)) * (
+            obs.q_nu * math.exp(nu)
+            - obs.q_mu * math.exp(mu) * nu * nu / (mu * mu)
+            - (mu * mu - nu * nu) / (mu * mu) * y0
+        )
+    except (OverflowError, ZeroDivisionError):  # exp(mu) overflowed, or a divisor underflowed
+        y1_lower = math.nan
     if y1_lower <= 0.0:
         raise BoundCollapseError(
             f"single-photon yield bound collapsed (Y1_L = {y1_lower:.3e}); "

@@ -104,7 +104,10 @@ def far_field_check(params: FsoLinkParams) -> bool:
 
 
 def diffraction_loss(params: FsoLinkParams) -> float:
-    """Geometric (diffraction) loss factor of the link, >= 1 in the far field."""
+    """Geometric (diffraction) loss factor of the link, >= 1 in the far field.
+
+    It is ``inf`` when the loss is beyond the float range.
+    """
     if not far_field_check(params):
         threshold = params.tx_aperture_m**2 / params.wavelength_m
         raise NearFieldError(
@@ -119,7 +122,9 @@ def diffraction_loss(params: FsoLinkParams) -> float:
     geometric = (
         params.distance_m**2 * (theta_tx**2 + theta_atm**2) / params.rx_aperture_m**2
     )
-    loss = geometric / (params.tx_factor * pointing_transmission * params.rx_factor)
+    collected = params.tx_factor * pointing_transmission * params.rx_factor
+    # Above ~3233 dB of pointing loss the collected fraction underflows to 0.
+    loss = geometric / collected if collected else math.inf
     # Just past the far-field boundary the beam spot can be smaller than the
     # receive aperture; everything is collected, a link never amplifies.
     return max(loss, 1.0)

@@ -214,7 +214,11 @@ def accumulate_pools(graph: QkdGraph, duration_s: float) -> QkdGraph:
 
 @dataclass(frozen=True)
 class Commodity:
-    """One key-exchange request; demand None means variable (max-min), else whole bits."""
+    """One key-exchange request; demand None means variable (max-min), else whole bits.
+
+    Raises ValueError for equal endpoints, or a demand that is not an
+    integer from 0 to 2**53, beyond which a plan could fall short of it.
+    """
 
     source: str
     sink: str
@@ -225,8 +229,10 @@ class Commodity:
             raise ValueError(f"commodity endpoints must differ, got {self.source!r} twice")
         demand = self.demand_bits
         whole = isinstance(demand, int) and not isinstance(demand, bool)
-        if demand is not None and not (whole and demand >= 0):
-            raise ValueError(f"demand must be an integer >= 0, got {demand!r}")
+        if demand is not None and not (whole and 0 <= demand <= _MAX_EXACT):
+            raise ValueError(
+                f"demand_bits must be an integer from 0 to 2**53 = {_MAX_EXACT}, got {demand!r}"
+            )
 
     @property
     def pair(self) -> tuple[str, str]:
@@ -260,6 +266,20 @@ def _is_number(value) -> bool:
 # Each check below formats its message only when it fails: a load runs
 # every check on every entry, and a passing one must not pay for sorting
 # choices or repr'ing values.
+def _object(value, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """``value`` if it is an object with every ``required`` field and no
+    field beyond ``required`` and ``optional``; else ScenarioError naming ``where``."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    for field in required:
+        if field not in value:
+            raise ScenarioError(f"{where}: missing field {field!r}")
+    extra = value.keys() - (*required, *optional)
+    if extra:
+        raise ScenarioError(f"{where}: unknown fields {sorted(extra)}")
+    return value
+
+
 def _check_id(value, where: str, field: str) -> str:
     if not isinstance(value, str):
         raise ScenarioError(f"{where}.{field}: expected a string id, got {value!r}")
@@ -268,19 +288,12 @@ def _check_id(value, where: str, field: str) -> str:
     return value
 
 
-def _parse_link(entry: dict, where: str) -> Link:
-    if not isinstance(entry, dict):
-        raise ScenarioError(f"{where}: expected an object")
-    for field in ("a", "b"):
-        if field not in entry:
-            raise ScenarioError(f"{where}: missing field {field!r}")
+def _parse_link(entry, where: str) -> Link:
+    entry = _object(entry, where, ("a", "b"), ("rate_bps", "preset", "distance_m"))
     a = _check_id(entry["a"], where, "a")
     b = _check_id(entry["b"], where, "b")
     if a == b:
         raise ScenarioError(f"{where}: endpoints must be distinct, got {a!r} twice")
-    extra = set(entry) - {"a", "b", "rate_bps", "preset", "distance_m"}
-    if extra:
-        raise ScenarioError(f"{where}: unknown fields {sorted(extra)}")
     if "rate_bps" in entry:
         if "preset" in entry or "distance_m" in entry:
             raise ScenarioError(f"{where}: give either rate_bps or preset+distance_m, not both")
@@ -312,6 +325,19 @@ def _parse_link(entry: dict, where: str) -> Link:
     return Link(a=a, b=b, rate_bps=rate)
 
 
+def _parse_request(entry, where: str) -> Commodity:
+    entry = _object(entry, where, ("src", "dst", "demand_bits"))
+    src = _check_id(entry["src"], where, "src")
+    dst = _check_id(entry["dst"], where, "dst")
+    try:
+        request = Commodity(src, dst, entry["demand_bits"])
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+    if request.demand_bits is None:  # a max-min commodity, which a file cannot ask for
+        raise ScenarioError(f"{where}.demand_bits: a request needs a fixed demand, got null")
+    return request
+
+
 def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     """Load and validate a scenario from a JSON file or an equivalent dict.
 
@@ -340,22 +366,15 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             raise ScenarioError(f"{path}: {exc}") from exc
     else:
         raw = source
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario: top level must be an object")
-    extra = set(raw) - {"nodes", "links", "elapsed_seconds", "requests", "options"}
-    if extra:
-        raise ScenarioError(f"scenario: unknown fields {sorted(extra)}")
-    for field in ("nodes", "links"):
-        if not (field in raw and isinstance(raw[field], list)):
+    raw = _object(raw, "scenario", ("nodes", "links"), ("elapsed_seconds", "requests", "options"))
+    for field in ("nodes", "links", "requests"):
+        if not isinstance(raw.get(field, []), list):
             raise ScenarioError(f"scenario.{field}: expected a list")
 
     kinds = {k.value: k for k in NodeKind}
     nodes = []
     for i, entry in enumerate(raw["nodes"]):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"nodes[{i}]: expected an object")
-        if set(entry) != {"id", "kind"}:
-            raise ScenarioError(f"nodes[{i}]: expected exactly the fields id, kind")
+        entry = _object(entry, f"nodes[{i}]", ("id", "kind"))
         node_id = _check_id(entry["id"], f"nodes[{i}]", "id")
         kind = entry["kind"]
         if not (isinstance(kind, str) and kind in kinds):
@@ -372,33 +391,12 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             f"scenario.elapsed_seconds: expected a finite number >= 0, got {elapsed!r}"
         )
 
-    listed = raw.get("requests", [])
-    if not isinstance(listed, list):
-        raise ScenarioError("scenario.requests: expected a list")
-    requests = []
-    for i, entry in enumerate(listed):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"requests[{i}]: expected an object")
-        if set(entry) != {"src", "dst", "demand_bits"}:
-            raise ScenarioError(
-                f"requests[{i}]: expected exactly the fields src, dst, demand_bits"
-            )
-        src = _check_id(entry["src"], f"requests[{i}]", "src")
-        dst = _check_id(entry["dst"], f"requests[{i}]", "dst")
-        demand = entry["demand_bits"]
-        if not (isinstance(demand, int) and _is_number(demand) and 0 <= demand <= _MAX_EXACT):
-            raise ScenarioError(
-                f"requests[{i}].demand_bits: expected an integer from 0 to 2**53 = "
-                f"{_MAX_EXACT}, got {demand!r}"
-            )
-        requests.append((src, dst, demand))
+    requests = [
+        _parse_request(entry, f"requests[{i}]")
+        for i, entry in enumerate(raw.get("requests", []))
+    ]
 
-    options = raw.get("options", {})
-    if not isinstance(options, dict):
-        raise ScenarioError("scenario.options: expected an object")
-    extra = set(options) - {"gs_relay"}
-    if extra:
-        raise ScenarioError(f"scenario.options: unknown fields {sorted(extra)}")
+    options = _object(raw.get("options", {}), "scenario.options", (), ("gs_relay",))
     gs_relay = options.get("gs_relay", True)
     if not isinstance(gs_relay, bool):
         raise ScenarioError("scenario.options.gs_relay: expected a boolean")
@@ -411,18 +409,16 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         raise ScenarioError(f"{field}[{i}]: {exc}") from exc
 
     node_kinds = {n.id: n.kind for n in nodes}
-    for i, (src, dst, _) in enumerate(requests):
-        for role, node_id in (("src", src), ("dst", dst)):
+    for i, request in enumerate(requests):
+        for role, node_id in zip(("src", "dst"), request.pair):
             if node_id not in node_kinds:
                 raise ScenarioError(f"requests[{i}].{role}: unknown node {node_id!r}")
             if node_kinds[node_id] != NodeKind.GROUND_STATION:
                 raise ScenarioError(f"requests[{i}].{role}: node {node_id!r} is not a ground station")
-        if src == dst:
-            raise ScenarioError(f"requests[{i}]: src and dst must differ")
 
     return Scenario(
         graph=graph,
         window_seconds=float(elapsed),
-        requests=tuple(Commodity(*request) for request in requests),
+        requests=tuple(requests),
         gs_relay=gs_relay,
     )

@@ -140,11 +140,12 @@ def gs_pairs(graph: QkdGraph) -> tuple[tuple[str, str], ...]:
 
 
 def _check_commodities(graph: QkdGraph, commodities: Sequence[Commodity], kind: str) -> None:
-    """Raise ValueError unless every endpoint is a ground station and the
-    demands fit ``kind``: none fixed for ``mmd``, all fixed otherwise."""
+    """Raise KeyError for an endpoint that is not in ``graph``, and
+    ValueError unless every endpoint is a ground station and the demands
+    fit ``kind``: none fixed for ``mmd``, all fixed otherwise."""
     for i, commodity in enumerate(commodities):
         for node_id in commodity.pair:
-            node = graph.node(node_id)  # raises KeyError for unknown nodes
+            node = graph.node(node_id)
             if node.kind != NodeKind.GROUND_STATION:
                 raise ValueError(
                     f"commodity {i} endpoint {node_id!r} is a {node.kind.value}; "

@@ -106,6 +106,10 @@ class TestRateCommand:
             (["leo-gs", "--distance", "1e308"], "total attenuation inf"),
             (["leo-gs", "--fried-parameter", "1e-308"], "total attenuation inf"),
             (["leo-gs", "--atm-db", "1e12"], "total attenuation inf"),
+            # a pointing loss whose collected fraction underflows to 0
+            (["leo-gs", "--pointing-db", "1e5"], "total attenuation inf"),
+            # exp(mu) beyond the float range
+            (["leo-gs", "--mu", "710"], "single-photon yield bound nan"),
         ],
     )
     def test_bounds_beyond_float_range_exit_3_naming_the_bound(self, capsys, argv, bound):
@@ -113,6 +117,15 @@ class TestRateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: rate model out of numeric range: {bound} is not finite\n"
+
+    def test_decoy_gain_below_float_range_exits_3(self, capsys):
+        # a positive gain that underflows to 0 is out of range, not a zero intensity
+        assert main(["rate", "leo-leo", "--y0", "0", "--nu", "1e-320"]) == EXIT_MODEL_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: rate model out of numeric range: gain at intensity 1e-320 underflows to 0\n"
+        )
 
 
 class TestPlanCommand:
@@ -383,7 +396,7 @@ class TestPlanCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: requests[0].demand_bits: expected an integer from 0 to 2**53 = "
+            "error: requests[0]: demand_bits must be an integer from 0 to 2**53 = "
             "9007199254740992, got 1152921504606846977\n"
         )
 

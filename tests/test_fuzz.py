@@ -13,7 +13,8 @@ Each ``qkdplan rate`` run sets one or two override flags to extreme
 finite values, subnormals and numbers near the float range included.
 A table's key rate must not exceed the signal detections it is distilled
 from, and a refusal must name its cause: neither an invalid-input line
-that reports ``nan`` nor an errno tuple in place of a message.
+that reports ``nan`` nor an errno tuple in place of a message, and a
+model-range line names the quantity beyond the float range.
 """
 import contextlib
 import copy
@@ -118,6 +119,12 @@ EXTREMES = ("1e-320", "1e-300", "1e-12", "0", "-1", "0.5", "1", "3080", "1e12", 
 RATE_RUNS = 400
 NAN = re.compile(r"\bnan\b")
 ERRNO_TUPLE = re.compile(r"\(\d+, '")
+# an exit-3 line names the quantity out of range, or the far-field bound
+MODEL_RANGE = re.compile(
+    r"error: (distance \S+ m is inside the far-field threshold \S+ m; diffraction model invalid"
+    r"|rate model out of numeric range: ([a-z -]+ (-?inf|nan) is not finite"
+    r"|gain at intensity \S+ underflows to 0))\n"
+)
 
 
 def test_extreme_rate_overrides_exit_with_one_line():
@@ -151,5 +158,6 @@ def test_extreme_rate_overrides_exit_with_one_line():
             assert out.getvalue() == "", context
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, context
             assert code != 1 or not NAN.search(err.getvalue()), context
+            assert code != 3 or MODEL_RANGE.fullmatch(err.getvalue()), context
             assert not ERRNO_TUPLE.search(err.getvalue()), context
     assert min(codes.values()) > 20, codes

@@ -301,7 +301,7 @@ class TestScenarioLoading:
             ({"requests": [{"src": "g1", "dst": "g2"}]}, "requests[0]"),
             (
                 {"requests": [{"src": "g1", "dst": "g2", "demand_bits": True}]},
-                "requests[0].demand_bits",
+                "requests[0]: demand_bits",
             ),
             (
                 {"requests": [{"src": "g1", "dst": "s1", "demand_bits": 5}]},
@@ -326,7 +326,7 @@ class TestScenarioLoading:
             ),
             (
                 {"requests": [{"src": "g1", "dst": "g2", "demand_bits": 10**400}]},
-                "requests[0].demand_bits",
+                "requests[0]: demand_bits",
             ),
             (
                 {"links": [{"a": "g1", "b": "s1", "preset": "leo-gs", "distance_m": 1e300}]},
@@ -355,7 +355,7 @@ class TestScenarioLoading:
             ),
             (
                 {"requests": [{"src": "g1", "dst": "g2", "demand_bits": 2**53 + 1}]},
-                "requests[0].demand_bits: expected an integer from 0 to 2\\*\\*53 = 9007199254740992, "
+                "requests[0]: demand_bits must be an integer from 0 to 2\\*\\*53 = 9007199254740992, "
                 "got 9007199254740993",
             ),
             (
@@ -370,6 +370,20 @@ class TestScenarioLoading:
             (
                 {"links": [{"a": "g1", "b": "s1", "preset": "meo", "distance_m": -1}]},
                 "^links[0].distance_m: ",
+            ),
+            ({"nodes": [{"id": "g1"}]}, "^nodes[0]: missing field 'kind'$"),
+            (
+                {"nodes": "zap", "links": [], "zz": 1, "aa": 2},
+                "^scenario: unknown fields ['aa', 'zz']$",
+            ),
+            ({"requests": [5]}, "^requests[0]: expected an object$"),
+            (
+                {"requests": [{"src": "g1", "dst": "g2", "demand_bits": None}]},
+                "^requests[0].demand_bits: a request needs a fixed demand, got null$",
+            ),
+            (
+                {"requests": [{"src": "g1", "dst": "g1", "demand_bits": 5}]},
+                "^requests[0]: commodity endpoints must differ, got 'g1' twice$",
             ),
         ],
     )

@@ -125,6 +125,13 @@ class TestBuildLp:
         with pytest.raises(ValueError):
             build_lp(line_pools(), [Commodity("g1", "g2")], "mr", gs_relay=True)
 
+    def test_inexact_request_refused(self):
+        # 2**60 + 1 has no float: the LP would plan 2**60, one bit short
+        assert Commodity("g1", "g2", 2**53).demand_bits == 2**53
+        for demand in (2**53 + 1, 2**60 + 1):
+            with pytest.raises(ValueError, match="demand_bits must be an integer from 0 to 2"):
+                Commodity("g1", "g2", demand)
+
     def test_variable_layout_shape(self, relay_graph):
         graph = line_pools()
         lp, columns = build_lp(graph, [Commodity("g1", "g2")], "mmd", gs_relay=True)
@@ -604,16 +611,6 @@ class TestVerifySolution:
         assert short.demands == (1.0, 0.0)
         violations = verify_solution(graph, short.commodities, short, gs_relay=True)
         assert violations == ("commodity 1 (g2->g4) delivers 0 < requested 1",)
-
-    def test_mr_delivery_below_an_inexact_request_detected(self):
-        # 2**60 + 1 has no float: the LP plans 2**60, one bit short
-        graph = line_pools(2**61, 2**61)
-        short = route_mr(graph, [Commodity("g1", "g2", 2**60 + 1)], gs_relay=True)
-        assert short.demands == (2.0**60,)
-        violations = verify_solution(graph, short.commodities, short, gs_relay=True)
-        assert violations == (
-            "commodity 0 (g1->g2) delivers 1152921504606846976 < requested 1152921504606846977",
-        )
 
     def test_plan_of_other_commodities_detected(self):
         # a valid 3-bit plan for g1->g2, checked against a request for 5
