@@ -17,7 +17,8 @@ rate model overflows, named as ``links[i]``), 2 infeasible request set,
 3 model-domain error (e.g. a near-field distance, or ``rate`` numbers
 whose model leaves the float range, named by the quantity), 4 solver
 failure (the simplex hit its iteration limit or returned an infeasible
-point, or the plan is not integral or fails verification).  Timing goes
+point, or the plan fails :func:`~qkdplan.router.verify_solution`, which
+also refuses a plan that is not Optimal or not whole numbers).  Timing goes
 to stderr so stdout stays byte-identical for identical inputs.
 """
 from __future__ import annotations
@@ -242,12 +243,8 @@ def _cmd_plan(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
-    if solution.status is not LpStatus.OPTIMAL:  # pragma: no cover - defensive
-        return _error(EXIT_SOLVER_FAILURE, f"solver returned {solution.status.value}")
 
     violations = router.verify_solution(graph, commodities, solution, gs_relay=scenario.gs_relay)
-    if not solution.integral:
-        violations += ("the plan has a fractional flow or demand",)
     if violations:  # a planner fault
         more = f" (+{len(violations) - 1} more)" if len(violations) > 1 else ""
         return _error(EXIT_SOLVER_FAILURE, f"verification failed: {violations[0]}{more}")

@@ -15,6 +15,7 @@ into a key rate and defaults to :data:`DEFAULT_PROTOCOL`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -31,6 +32,9 @@ __all__ = [
     "secret_key_rate",
     "forward_observables",
 ]
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest x whose exp(x) is a float
+
 
 class DegenerateChannelError(ValueError):
     """QBER is undefined because the gain (or yield) is exactly zero."""
@@ -149,17 +153,24 @@ def single_photon_bounds(
     [0, 1/2].  Raises :class:`BoundCollapseError` when the Y1 bound is not
     positive, i.e. the observables admit no provable single-photon signal,
     and OverflowError when it is not finite: for a subnormal ``nu``, whose
-    ``mu * nu - nu * nu`` bracket divides to ``inf`` or NaN or underflows
-    to 0, and for a ``mu`` above ~709.78, whose ``exp(mu)`` overflows.
+    divisor ``mu * nu - nu * nu`` divides the bound to ``inf`` or NaN or
+    underflows to 0, for a ``nu`` whose ``exp(nu)`` overflows (above
+    ~709.78), and for a ``mu`` whose ``mu * mu`` overflows (above ~1.3e154).
+    Where only ``exp(mu)`` overflows the signal term Q_mu e^mu nu^2 / mu^2
+    is taken in logarithms, and is ``inf`` where it overflows too: a bracket
+    of ``-inf`` is a collapse like any other negative one.
     """
     mu, nu, y0 = params.mu, params.nu, params.y0
     try:
-        y1_lower = (mu / (mu * nu - nu * nu)) * (
-            obs.q_nu * math.exp(nu)
-            - obs.q_mu * math.exp(mu) * nu * nu / (mu * mu)
-            - (mu * mu - nu * nu) / (mu * mu) * y0
-        )
-    except (OverflowError, ZeroDivisionError):  # exp(mu) overflowed, or a divisor underflowed
+        if mu <= _LOG_FLOAT_MAX:
+            signal = obs.q_mu * math.exp(mu) * nu * nu / (mu * mu)
+        else:  # exp(mu) overflows: the same term in logarithms
+            log_q_mu = math.log(obs.q_mu) if obs.q_mu else -math.inf
+            exponent = log_q_mu + mu + 2 * (math.log(nu) - math.log(mu))
+            signal = math.exp(exponent) if exponent <= _LOG_FLOAT_MAX else math.inf
+        bracket = obs.q_nu * math.exp(nu) - signal - (mu * mu - nu * nu) / (mu * mu) * y0
+        y1_lower = mu / (mu * nu - nu * nu) * bracket
+    except (OverflowError, ZeroDivisionError):  # exp(nu) overflowed, or a divisor underflowed
         y1_lower = math.nan
     if y1_lower <= 0.0:
         raise BoundCollapseError(

@@ -216,9 +216,6 @@ def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> tupl
     rows = (column > _PIVOT_TOL).nonzero()[0]
     if rows.size == 0:
         return -1, 0.0
-    if rows.size == 1:  # no tie to break
-        leave = int(rows[0])
-        return leave, float(rhs[leave] / column[leave])
     ratios = rhs[rows] / column[rows]
     best = float(ratios.min())
     near = rows[ratios <= best + 1e-12 + 1e-9 * abs(best)]

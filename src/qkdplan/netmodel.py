@@ -230,8 +230,11 @@ class Commodity:
         demand = self.demand_bits
         whole = isinstance(demand, int) and not isinstance(demand, bool)
         if demand is not None and not (whole and 0 <= demand <= _MAX_EXACT):
+            # str() refuses an integer of more than 4,300 digits: give its size instead
+            big = whole and demand.bit_length() > 64
+            got = f"a {demand.bit_length()}-bit integer" if big else repr(demand)
             raise ValueError(
-                f"demand_bits must be an integer from 0 to 2**53 = {_MAX_EXACT}, got {demand!r}"
+                f"demand_bits must be an integer from 0 to 2**53 = {_MAX_EXACT}, got {got}"
             )
 
     @property

@@ -66,7 +66,6 @@ __all__ = [
 
 _FLOW_EPS = 1e-9
 _FLOOR_EPS = 1e-6
-_VERIFY_TOL = 1e-6  # relative slack of the verifier's checks on a fractional solution
 
 DirectedEdge = tuple[str, str]
 FlowKey = tuple[int, DirectedEdge]
@@ -354,7 +353,9 @@ def _floor_paths(
     """Rounding stage 1: floor each commodity's path decomposition.
 
     Returns the integral flows, the demands they deliver and every link's
-    residual pool, in link order.
+    residual pool, in link order.  Flooring cannot overdraw a pool that the
+    fractional flow respects; an overdrawn one is left negative, so stage 2
+    never enters it and :func:`verify_solution` reports it.
     """
     flows: dict[FlowKey, int] = {}
     demands = [0] * len(fractional.commodities)
@@ -372,9 +373,6 @@ def _floor_paths(
     residual = {link.endpoints: link.pool_bits for link in graph.links}
     for (_, (a, b)), v in flows.items():
         residual[canonical_pair(a, b)] -= v
-    overdrawn = [pair for pair, left in residual.items() if left < 0]
-    if overdrawn:  # pragma: no cover - flooring cannot overdraw
-        raise ArithmeticError(f"rounding overdrew link {'-'.join(overdrawn[0])}")
     return flows, demands, residual
 
 
@@ -478,7 +476,7 @@ def greedy_round(
         kind=fractional.kind,
         status=LpStatus.OPTIMAL,
         commodities=commodities,
-        flows={key: value for key, value in flows.items() if value > 0},
+        flows=flows,
         demands=tuple(float(d) for d in demands),
     )
 
@@ -554,26 +552,28 @@ def verify_solution(
     *,
     gs_relay: bool,
 ) -> tuple[str, ...]:
-    """Independently re-check capacity, nonnegativity, conservation and limits.
+    """Independently re-check status, capacity, conservation, limits and whole numbers.
 
     Walks the raw flow map without reusing any LP machinery and returns
     the violation lines, one per violating link or (node, commodity)
-    entry and none when the plan is valid.  With the required
-    ``gs_relay=False`` any positive flow touching a ground station other
-    than the commodity's endpoints is a violation, reported once per
-    commodity and station; a commodity with ``demand_bits`` set may not be
-    delivered more than that, and in an ``mr`` plan not less either (the
-    ``dijkstra`` baseline may fall short by design).  Flows of a commodity
-    index outside ``commodities`` are reported once per index.  The plan
-    must carry ``commodities`` themselves, in order, and give one finite,
-    nonnegative demand per commodity, and every flow must be finite.  An
-    integral plan, as the CLI reports, is checked with no slack, since
-    float sums of whole numbers up to 2**53 are exact; a fractional one
-    within a relative _VERIFY_TOL.
+    entry and none when the plan is valid.  A plan whose status is not
+    Optimal is reported first, and a fractional or non-finite flow or
+    demand last.  With the required ``gs_relay=False`` any positive flow
+    touching a ground station other than the commodity's endpoints is a
+    violation, reported once per commodity and station; a commodity with
+    ``demand_bits`` set may not be delivered more than that, and in an
+    ``mr`` plan not less either (the ``dijkstra`` baseline may fall short
+    by design).  Flows of a commodity index outside ``commodities`` are
+    reported once per index.  The plan must carry ``commodities``
+    themselves, in order, and give one finite, nonnegative demand per
+    commodity, and every flow must be finite.  Every check compares
+    exactly, which is sound for the whole-number plans it accepts: float
+    sums of whole numbers up to 2**53 are exact.
     """
     commodities, demands = tuple(commodities), solution.demands
-    tol = 0.0 if solution.integral else _VERIFY_TOL
     violations: list[str] = []
+    if solution.status is not LpStatus.OPTIMAL:
+        violations.append(f"the plan's status is {solution.status.value}")
     if tuple(solution.commodities) != commodities:
         violations.append("the plan's commodities differ from the requested ones")
     if len(demands) != len(commodities):
@@ -601,11 +601,11 @@ def verify_solution(
         if pair not in used:
             violations.append(f"flow on nonexistent link {a}-{b} (commodity {i})")
             continue
-        if value < -tol:
+        if value < 0:
             violations.append(f"negative flow {value} on {a}->{b} (commodity {i})")
         used[pair] += value
         commodity = commodities[i]
-        if not gs_relay and value > tol:
+        if not gs_relay and value > 0:
             for end in (a, b):
                 if end in commodity.pair or (i, end) in transits:
                     continue
@@ -618,7 +618,7 @@ def verify_solution(
 
     for link in graph.links:
         total = used[link.endpoints]
-        if total > link.pool_bits + tol * max(1.0, link.pool_bits):
+        if total > link.pool_bits:
             violations.append(
                 f"capacity exceeded on link {link.a}-{link.b}: "
                 f"{total} used > {link.pool_bits} pooled"
@@ -634,14 +634,14 @@ def verify_solution(
                 expected = demand
             elif node.id == commodity.sink:
                 expected = -demand
-            if abs(net[i][node.id] - expected) > tol * max(1.0, abs(demand)):
+            if net[i][node.id] != expected:
                 violations.append(
                     f"conservation violated at node {node.id} for commodity {i} "
                     f"({commodity.source}->{commodity.sink}): net {net[i][node.id]}, "
                     f"expected {expected}"
                 )
         requested = commodity.demand_bits
-        if requested is not None and demand > requested + tol * max(1.0, requested):
+        if requested is not None and demand > requested:
             violations.append(
                 f"commodity {i} ({commodity.source}->{commodity.sink}) delivers "
                 f"{demand:g} > requested {requested}"
@@ -651,7 +651,8 @@ def verify_solution(
                 f"commodity {i} ({commodity.source}->{commodity.sink}) delivers "
                 f"{demand:.0f} < requested {requested}"
             )
-
+    if not solution.integral:
+        violations.append("the plan has a fractional flow or demand")
     return tuple(violations)
 
 

@@ -108,8 +108,6 @@ class TestRateCommand:
             (["leo-gs", "--atm-db", "1e12"], "total attenuation inf"),
             # a pointing loss whose collected fraction underflows to 0
             (["leo-gs", "--pointing-db", "1e5"], "total attenuation inf"),
-            # exp(mu) beyond the float range
-            (["leo-gs", "--mu", "710"], "single-photon yield bound nan"),
         ],
     )
     def test_bounds_beyond_float_range_exit_3_naming_the_bound(self, capsys, argv, bound):
@@ -117,6 +115,13 @@ class TestRateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: rate model out of numeric range: {bound} is not finite\n"
+
+    @pytest.mark.parametrize("mu", ["709.7", "710", "1000"])
+    def test_signal_beyond_exp_range_collapses_to_no_key(self, capsys, mu):
+        # exp(mu) overflows from ~709.78 on; the Y1 bound is then about
+        # -4e301 or -inf, a collapse like the -3e301 just below
+        assert main(["rate", "leo-gs", "--mu", mu]) == EXIT_OK
+        assert table_value(capsys.readouterr().out, "secret_key_rate_bps") == "0"
 
     def test_decoy_gain_below_float_range_exits_3(self, capsys):
         # a positive gain that underflows to 0 is out of range, not a zero intensity

@@ -1,4 +1,5 @@
 """Decoy-state rate model: photon statistics, gains, bounds, key rate."""
+import dataclasses
 import math
 
 import pytest
@@ -169,6 +170,14 @@ class TestSinglePhotonBounds:
         obs = ChannelObservables(q_mu=floor, e_mu=0.5, q_nu=floor, e_nu=0.5)
         with pytest.raises(BoundCollapseError):
             single_photon_bounds(obs, DEFAULT_PROTOCOL)
+
+    def test_zero_signal_gain_has_no_signal_term_where_exp_mu_overflows(self):
+        # Q_mu e^mu is 0 for Q_mu = 0 although e^710 is beyond the floats
+        params = dataclasses.replace(DEFAULT_PROTOCOL, mu=710.0)
+        mu, nu, y0 = params.mu, params.nu, params.y0
+        obs = ChannelObservables(q_mu=0.0, e_mu=0.0, q_nu=1e-3, e_nu=0.01)
+        expected = mu / (mu * nu - nu * nu) * (1e-3 * math.exp(nu) - (1 - nu**2 / mu**2) * y0)
+        assert single_photon_bounds(obs, params).y1_lower == pytest.approx(expected, rel=1e-12)
 
     def test_geo_observables_leave_positive_key_margin(self):
         bounds = single_photon_bounds(GOLDEN_OBSERVABLES["geo-gs"], DEFAULT_PROTOCOL)

@@ -132,6 +132,16 @@ class TestBuildLp:
             with pytest.raises(ValueError, match="demand_bits must be an integer from 0 to 2"):
                 Commodity("g1", "g2", demand)
 
+    @pytest.mark.parametrize("demand", [10**5000, -10**5000], ids=["huge", "huge-negative"])
+    def test_request_beyond_str_range_is_refused_by_size(self, demand):
+        # str() refuses an integer of more than 4,300 digits; the line gives its size
+        with pytest.raises(ValueError) as refused:
+            Commodity("g1", "g2", demand)
+        assert str(refused.value) == (
+            "demand_bits must be an integer from 0 to 2**53 = 9007199254740992, "
+            "got a 16610-bit integer"
+        )
+
     def test_variable_layout_shape(self, relay_graph):
         graph = line_pools()
         lp, columns = build_lp(graph, [Commodity("g1", "g2")], "mmd", gs_relay=True)
@@ -672,7 +682,10 @@ class TestVerifySolution:
         violations = verify_solution(graph, commodities, lossy, gs_relay=True)
         assert any("conservation violated at node s1" in v for v in violations)
         assert any("conservation violated at node g2" in v for v in violations)
-        # the slack still holds for a fractional solution
+
+    def test_fractional_plan_is_refused(self):
+        # within its pools and balanced at every node, but half a key is no key
+        graph = line_pools(3_000_001, 3_000_001)
         fractional = FlowSolution(
             kind="mmd",
             status=LpStatus.OPTIMAL,
@@ -680,7 +693,35 @@ class TestVerifySolution:
             flows={(0, ("g1", "s1")): 3_000_000.5, (0, ("s1", "g2")): 3_000_000.5},
             demands=(3_000_000.5,),
         )
-        assert not verify_solution(graph, fractional.commodities, fractional, gs_relay=True)
+        violations = verify_solution(graph, fractional.commodities, fractional, gs_relay=True)
+        assert violations == ("the plan has a fractional flow or demand",)
+
+    def test_status_other_than_optimal_is_reported_first(self):
+        graph = line_pools(10, 6)
+        commodities = (Commodity("g1", "g2", 20),)
+        infeasible = FlowSolution("mr", LpStatus.INFEASIBLE, commodities, {}, (0.0,))
+        violations = verify_solution(graph, commodities, infeasible, gs_relay=True)
+        assert violations == (
+            "the plan's status is Infeasible",
+            "commodity 0 (g1->g2) delivers 0 < requested 20",
+        )
+
+    def test_overdrawn_fractional_plan_rounds_to_a_reported_one(self):
+        # the rounding floors 7.5 to 7 keys on pools of 6 and 10, and the
+        # top-up never enters the overdrawn g2-s1; the verifier names it
+        graph = line_pools(10, 6)
+        commodities = (Commodity("g1", "g2"),)
+        over = FlowSolution(
+            kind="mmd",
+            status=LpStatus.OPTIMAL,
+            commodities=commodities,
+            flows={(0, ("g1", "s1")): 7.5, (0, ("s1", "g2")): 7.5},
+            demands=(7.5,),
+        )
+        rounded = greedy_round(graph, over, gs_relay=True)
+        assert rounded.demands == (7.0,)
+        violations = verify_solution(graph, commodities, rounded, gs_relay=True)
+        assert violations == ("capacity exceeded on link g2-s1: 7.0 used > 6 pooled",)
 
     def test_tampered_conservation_detected(self, fig3like):
         solution = route_mmd(fig3like, [Commodity("A", "B")], gs_relay=True)
